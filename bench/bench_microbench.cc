@@ -13,30 +13,86 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "core/simulation.hh"
 #include "ip/ip_core.hh"
+#include "sim/random.hh"
 
 namespace
 {
 
 using namespace vip;
 
+/**
+ * An event queue held at a constant depth: each step() schedules one
+ * event and services one.  Depth 16 is what whole-platform runs reach
+ * (vip_prof's max pending is about 20); 1024 is a deep stress point.
+ * Delays come from a fixed seed and are drawn up front, so timing
+ * covers only the queue.
+ */
+class ConstantDepthQueue
+{
+  public:
+    explicit ConstantDepthQueue(std::size_t depth) : _deltas(4096)
+    {
+        Random rng(1);
+        for (Tick &d : _deltas)
+            d = 1 + rng.uniformInt(0, 4 * depth - 1);
+        for (std::size_t i = 0; i < depth; ++i)
+            _eq.schedule(_deltas[i], [this] { ++_sink; });
+    }
+
+    void
+    step()
+    {
+        _eq.schedule(_eq.curTick() + _deltas[_next++ & 4095],
+                     [this] { ++_sink; });
+        _eq.serviceOne();
+    }
+
+    std::uint64_t sink() const { return _sink; }
+
+  private:
+    EventQueue _eq;
+    std::vector<Tick> _deltas;
+    std::size_t _next = 0;
+    std::uint64_t _sink = 0;
+};
+
 void
 BM_EventQueueScheduleService(benchmark::State &state)
 {
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t sink = 0;
-        for (int i = 0; i < 1024; ++i)
-            eq.schedule((i * 37) % 4096, [&] { ++sink; });
-        eq.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
+    ConstantDepthQueue q(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state)
+        q.step();
+    benchmark::DoNotOptimize(q.sink());
+    state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueScheduleService);
+BENCHMARK(BM_EventQueueScheduleService)->Arg(16)->Arg(1024);
+
+/** Median ns per event of ConstantDepthQueue over 5 trials (the
+ *  benchmark above, as a plain loop for the --sim-throughput report). */
+double
+kernelNsPerEvent(std::size_t depth)
+{
+    constexpr int kEvents = 400'000;
+    std::vector<double> ns;
+    for (int trial = 0; trial < 5; ++trial) {
+        ConstantDepthQueue q(depth);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kEvents; ++i)
+            q.step();
+        const auto t1 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(q.sink());
+        ns.push_back(
+            std::chrono::duration<double, std::nano>(t1 - t0).count() /
+            kEvents);
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2];
+}
 
 void
 BM_DramTransactions(benchmark::State &state)
@@ -150,7 +206,9 @@ BENCHMARK_CAPTURE(BM_FullPlatformVipRunTraced, FrameLifecycle,
  * with the --prof hot-path profiler armed (default sampling), and
  * again with the --ts time-series plane armed (full-glob selection),
  * so the report tracks both observers' wall-time overhead — the
- * numbers the <5% overhead budget in CI gates on.  Results land in a
+ * numbers the <5% overhead budget in CI gates on.  A kernel table
+ * adds the event queue's own ns per event at depths 16 and 1024.
+ * Results land in a
  * schemaVersion'd JSON (default BENCH_microbench.json) whose
  * checked-in copy records the trajectory across PRs.
  */
@@ -258,6 +316,14 @@ simThroughputReport(const char *outPath)
         rows.push_back(r);
     }
 
+    const std::size_t kDepths[] = {16, 1024};
+    std::vector<double> kernelNs;
+    for (std::size_t depth : kDepths) {
+        kernelNs.push_back(kernelNsPerEvent(depth));
+        std::printf("kernel depth %-5zu %.1f ns/event\n", depth,
+                    kernelNs.back());
+    }
+
     std::ofstream os(path);
     if (!os) {
         std::fprintf(stderr, "cannot write %s\n", path);
@@ -288,6 +354,14 @@ simThroughputReport(const char *outPath)
             r.simMs / wallS, r.wallProfMs, r.profOverheadPct,
             r.wallTsMs, r.tsOverheadPct);
         os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
+    }
+    os << "  ],\n  \"kernel\": [\n";
+    for (std::size_t i = 0; i < kernelNs.size(); ++i) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf),
+                      "    {\"depth\": %zu, \"ns_per_event\": %.1f}",
+                      kDepths[i], kernelNs[i]);
+        os << buf << (i + 1 < kernelNs.size() ? ",\n" : "\n");
     }
     os << "  ]\n}\n";
     std::printf("throughput report written to %s\n", path);

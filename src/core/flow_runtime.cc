@@ -894,21 +894,10 @@ FlowRuntime::saveState(SnapshotWriter &w) const
     // still be live as a no-op; it is saved and re-armed all the same
     // so the restored event queue matches the snapshot exactly.
     const EventQueue &eq = _p.sys->eventq();
-    bool genLive = _genEvent != InvalidEventId && eq.isLive(_genEvent);
-    w.b(genLive);
-    if (genLive) {
-        w.u64(_genEvent);
-        w.tick(eq.scheduledWhen(_genEvent));
+    if (eq.saveEvent(w, _genEvent))
         w.u64(_genNextK);
-    }
-    bool inputLive =
-        _inputEvent != InvalidEventId && eq.isLive(_inputEvent);
-    w.b(inputLive);
-    if (inputLive) {
-        w.u64(_inputEvent);
-        w.tick(eq.scheduledWhen(_inputEvent));
+    if (eq.saveEvent(w, _inputEvent))
         w.tick(_inputDur);
-    }
 }
 
 void
@@ -942,26 +931,20 @@ FlowRuntime::loadState(SnapshotReader &r)
     // Burst policies size bursts from the (possibly down-rated) spec.
     buildBurstPolicy();
 
+    // The re-armed callbacks read the frame index and touch duration
+    // that follow each event in the snapshot; both stay fixed while
+    // their event is pending.
     auto &eq = _p.sys->eventq();
-    if (r.b()) {
-        _genEvent = r.u64();
-        Tick when = r.tick();
+    _genEvent = eq.restoreEvent(r, [this] { dispatchGen(_genNextK); },
+                                EventPriority::Default, "flow.gen");
+    if (_genEvent != InvalidEventId)
         _genNextK = r.u64();
-        std::uint64_t k = _genNextK;
-        eq.restoreEvent(_genEvent, when,
-                        [this, k] { dispatchGen(k); },
-                        EventPriority::Default, "flow.gen");
-    }
-    if (r.b()) {
-        _inputEvent = r.u64();
-        Tick when = r.tick();
+    _inputEvent = eq.restoreEvent(r, [this] {
+        _inputEvent = InvalidEventId;
+        onInputEvent(_inputDur);
+    }, EventPriority::Default, "flow.input");
+    if (_inputEvent != InvalidEventId)
         _inputDur = r.tick();
-        Tick dur = _inputDur;
-        eq.restoreEvent(_inputEvent, when, [this, dur] {
-            _inputEvent = InvalidEventId;
-            onInputEvent(dur);
-        }, EventPriority::Default, "flow.input");
-    }
 }
 
 } // namespace vip

@@ -431,27 +431,10 @@ Simulation::buildStatsRegistry()
                            return double(_sys.eventq().pending());
                        });
 
-    // Profiler summary plus physical event-queue internals: only
-    // present when --prof is on, so baseline stats files (profiler
-    // off) stay comparable.  heap/tombstones/compactions are
-    // execution history -- a restored run rebuilds a clean heap and
-    // re-counts compactions from zero, so they must not enter
-    // restore-compared stats.
+    // Profiler summary: only present when --prof is on, so baseline
+    // stats files (profiler off) stay comparable.
     if (_profiler) {
         Profiler *p = _profiler.get();
-        _registry.addExact("sim.eventq.heap", "heap entries incl. "
-                           "tombstones", "events", [this] {
-                               return double(_sys.eventq().heapSize());
-                           });
-        _registry.addExact("sim.eventq.tombstones", "dead heap entries "
-                           "awaiting compaction", "events", [this] {
-                               EventQueue &q = _sys.eventq();
-                               return double(q.heapSize() - q.pending());
-                           });
-        _registry.addExact("sim.eventq.compactions", "heap compaction "
-                           "passes", "", [this] {
-                               return double(_sys.eventq().compactions());
-                           });
         _registry.addExact("prof.events", "dispatches seen by the "
                            "profiler", "events",
                            [p] { return double(p->dispatches()); });
@@ -462,9 +445,6 @@ Simulation::buildStatsRegistry()
         _registry.addExact("prof.eventq.max_pending", "peak live-set "
                            "size at sample points", "events",
                            [p] { return double(p->maxPending()); });
-        _registry.addExact("prof.eventq.max_heap", "peak heap size "
-                           "at sample points", "events",
-                           [p] { return double(p->maxHeap()); });
         for (std::size_t i = 0; i < kProfKindCatalogSize; ++i) {
             const char *kind = kProfKindCatalog[i];
             _registry.addExact(std::string("prof.kind.") + kind +
@@ -654,7 +634,6 @@ Simulation::run()
             _profiler->setRunWallMs(
                 std::chrono::duration<double, std::milli>(w1 - w0)
                     .count());
-            _profiler->noteCompactions(_sys.eventq().compactions());
             _profiler->noteAllocCursor(_alloc.cursor());
         } else {
             runEventLoop(fromSec(_cfg.simSeconds));
@@ -956,20 +935,12 @@ Simulation::saveCheckpoint(const std::string &path)
     w.u64(_alloc.cursor());
     w.u64(_lastRetired);
     const EventQueue &eq = _sys.eventq();
-    auto saveEvent = [&](EventId id) {
-        bool live = id != InvalidEventId && eq.isLive(id);
-        w.b(live);
-        if (live) {
-            w.u64(id);
-            w.tick(eq.scheduledWhen(id));
-        }
-    };
-    saveEvent(_auditEvent);
-    saveEvent(_progressEvent);
+    eq.saveEvent(w, _auditEvent);
+    eq.saveEvent(w, _progressEvent);
     w.u32(static_cast<std::uint32_t>(_stopEvents.size()));
     for (const StopEvent &s : _stopEvents) {
         w.u64(s.flow);
-        saveEvent(s.id);
+        eq.saveEvent(w, s.id);
     }
     w.b(_cfg.recordTrace);
     if (_cfg.recordTrace) {
@@ -1133,24 +1104,16 @@ Simulation::restoreFrom(const std::string &path)
     r.openSection("sim");
     _alloc.setCursor(r.u64());
     _lastRetired = r.u64();
-    if (r.b()) {
-        _auditEvent = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(
-            _auditEvent, when,
-            [this] {
-                _auditor.runAudit(_sys.curTick());
-                scheduleAudit();
-            },
-            EventPriority::Audit, "sim.audit");
-    }
-    if (r.b()) {
-        _progressEvent = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(_progressEvent, when,
-                        [this] { checkProgress(); },
-                        EventPriority::Teardown, "sim.guard");
-    }
+    _auditEvent = eq.restoreEvent(
+        r,
+        [this] {
+            _auditor.runAudit(_sys.curTick());
+            scheduleAudit();
+        },
+        EventPriority::Audit, "sim.audit");
+    _progressEvent = eq.restoreEvent(r, [this] { checkProgress(); },
+                                     EventPriority::Teardown,
+                                     "sim.guard");
     std::uint32_t nStops = r.u32();
     if (nStops != _stopEvents.size())
         fatal("restore: snapshot has ", nStops, " app-stop events, "
@@ -1161,13 +1124,9 @@ Simulation::restoreFrom(const std::string &path)
         if (flow != s.flow)
             fatal("restore: app-stop event targets flow ", flow,
                   ", this run expects ", s.flow);
-        if (r.b()) {
-            s.id = r.u64();
-            s.when = r.tick();
-            FlowRuntime *fr = _flows[s.flow].get();
-            eq.restoreEvent(s.id, s.when, [fr] { fr->stop(); },
-                            EventPriority::Default, "sim.stop");
-        }
+        FlowRuntime *fr = _flows[s.flow].get();
+        s.id = eq.restoreEvent(r, [fr] { fr->stop(); },
+                               EventPriority::Default, "sim.stop");
     }
     bool hadTrace = r.b();
     if (hadTrace != _cfg.recordTrace)

@@ -330,19 +330,8 @@ CpuCore::saveState(SnapshotWriter &w) const
     w.u64(_dvfsTransitions);
     // Pending timers: the sleep countdown (idle cores) and the DVFS
     // governor tick.  Ids + fire times; callbacks are re-created.
-    bool sleepLive =
-        _sleepEvent != InvalidEventId && eq.isLive(_sleepEvent);
-    w.b(sleepLive);
-    if (sleepLive) {
-        w.u64(_sleepEvent);
-        w.tick(eq.scheduledWhen(_sleepEvent));
-    }
-    bool govLive = _govEvent != InvalidEventId && eq.isLive(_govEvent);
-    w.b(govLive);
-    if (govLive) {
-        w.u64(_govEvent);
-        w.tick(eq.scheduledWhen(_govEvent));
-    }
+    eq.saveEvent(w, _sleepEvent);
+    eq.saveEvent(w, _govEvent);
     _stats.saveState(w);
 }
 
@@ -360,24 +349,10 @@ CpuCore::loadState(SnapshotReader &r)
     _curStep = r.u64();
     _lastGovActive = r.tick();
     _dvfsTransitions = r.u64();
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { sleepTimerFired(); },
-                        EventPriority::Default, "cpu.sleep");
-        _sleepEvent = id;
-    } else {
-        _sleepEvent = InvalidEventId;
-    }
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { governorTick(); },
-                        EventPriority::Stats, "cpu.gov");
-        _govEvent = id;
-    } else {
-        _govEvent = InvalidEventId;
-    }
+    _sleepEvent = eq.restoreEvent(r, [this] { sleepTimerFired(); },
+                                  EventPriority::Default, "cpu.sleep");
+    _govEvent = eq.restoreEvent(r, [this] { governorTick(); },
+                                EventPriority::Stats, "cpu.gov");
     _stats.loadState(r);
     // The restored power level is re-integrated by the energy ledger
     // (serialized separately); nothing to re-apply here.

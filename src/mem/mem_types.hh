@@ -8,8 +8,8 @@
 #define VIP_MEM_MEM_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/callback.hh"
 #include "sim/types.hh"
 
 namespace vip
@@ -27,7 +27,7 @@ struct MemRequest
     /** Requester id, used for per-agent accounting. */
     std::uint32_t requesterId = 0;
     /** Invoked when the transaction completes (may be empty). */
-    std::function<void()> onComplete;
+    Callback onComplete;
 };
 
 /**

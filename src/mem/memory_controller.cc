@@ -6,7 +6,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <memory>
 
 namespace vip
 {
@@ -212,15 +211,11 @@ MemoryController::access(MemRequest req)
         _wakePenalty = std::max(_wakePenalty, wakeForAccess());
 
     if (_cfg.ideal) {
-        auto cb = std::move(req.onComplete);
         Tick lat = _cfg.idealLatency;
         _latency.sample(toNs(lat));
-        ++_idealInFlight;
-        scheduleIn(lat, [this, cb = std::move(cb)] {
-            --_idealInFlight;
-            if (cb)
-                cb();
-        }, EventPriority::Default, "dram.burst");
+        _idealDone.push_back(std::move(req.onComplete));
+        scheduleIn(lat, [this] { finishIdeal(); }, EventPriority::Default,
+                   "dram.burst");
         return;
     }
 
@@ -231,9 +226,8 @@ MemoryController::access(MemRequest req)
         std::uint32_t stripes =
             (req.bytes + _cfg.interleaveBytes - 1) /
             _cfg.interleaveBytes;
-        auto left = std::make_shared<std::uint32_t>(stripes);
-        auto cb = std::make_shared<std::function<void()>>(
-            std::move(req.onComplete));
+        const std::uint32_t j =
+            _joins.put(StripeJoin{stripes, std::move(req.onComplete)});
         std::uint32_t remaining = req.bytes;
         for (std::uint32_t s = 0; s < stripes; ++s) {
             Pending p;
@@ -244,10 +238,7 @@ MemoryController::access(MemRequest req)
             remaining -= p.req.bytes;
             p.req.write = req.write;
             p.req.requesterId = req.requesterId;
-            p.req.onComplete = [left, cb] {
-                if (--*left == 0 && *cb)
-                    (*cb)();
-            };
+            p.req.onComplete = [this, j] { finishStripe(j); };
             p.enqueued = curTick();
             std::uint32_t ch = channelOf(p.req.addr);
             ++_burstsAccepted;
@@ -302,9 +293,8 @@ MemoryController::trySchedule(std::uint32_t ch)
     if (c.busy || c.queue.empty())
         return;
 
-    std::size_t idx = pickNext(c, ch);
-    Pending p = std::move(c.queue[idx]);
-    c.queue.erase(c.queue.begin() + idx);
+    c.active = c.queue.take(pickNext(c, ch));
+    Pending &p = c.active;
 
     Bank &bank = c.banks[bankOf(p.req.addr)];
     std::uint64_t row = rowOf(p.req.addr);
@@ -379,24 +369,47 @@ MemoryController::trySchedule(std::uint32_t ch)
     if (LatencyCollector *lc = system().latency())
         lc->recordDramBurst(service);
 
-    Tick enqueue = p.enqueued;
-    auto cb = std::move(p.req.onComplete);
-    scheduleIn(service, [this, ch, enqueue, cb = std::move(cb)] {
-        Channel &cc = _channels[ch];
-        cc.busy = false;
-        ++_burstsCompleted;
-        ++cc.bursts;
-        double busy = 0;
-        for (const auto &c2 : _channels)
-            busy += c2.busy ? 1.0 : 0.0;
-        _busyChannels.set(busy, curTick());
-        _latency.sample(toNs(curTick() - enqueue));
-        if (cb)
-            cb();
-        trySchedule(ch);
-        if (inFlight() == 0)
-            onAllIdle();
-    }, EventPriority::Default, "dram.burst");
+    scheduleIn(service, [this, ch] { finishBurst(ch); },
+               EventPriority::Default, "dram.burst");
+}
+
+void
+MemoryController::finishBurst(std::uint32_t ch)
+{
+    Channel &c = _channels[ch];
+    c.busy = false;
+    ++_burstsCompleted;
+    ++c.bursts;
+    double busy = 0;
+    for (const auto &c2 : _channels)
+        busy += c2.busy ? 1.0 : 0.0;
+    _busyChannels.set(busy, curTick());
+    _latency.sample(toNs(curTick() - c.active.enqueued));
+    // Taken out first: trySchedule() below refills c.active.
+    Callback cb = std::move(c.active.req.onComplete);
+    if (cb)
+        cb();
+    trySchedule(ch);
+    if (inFlight() == 0)
+        onAllIdle();
+}
+
+void
+MemoryController::finishStripe(std::uint32_t j)
+{
+    if (--_joins[j].left != 0)
+        return;
+    Callback done = _joins.take(j).done;
+    if (done)
+        done();
+}
+
+void
+MemoryController::finishIdeal()
+{
+    Callback cb = _idealDone.take(0);
+    if (cb)
+        cb();
 }
 
 std::uint64_t
@@ -610,20 +623,10 @@ MemoryController::saveState(SnapshotWriter &w) const
     w.tick(_powerDownTicks);
     w.tick(_selfRefreshTicks);
     w.u64(_lpEntries);
-    bool lpLive = _lpTimer != InvalidEventId && eq.isLive(_lpTimer);
-    w.b(lpLive);
-    if (lpLive) {
-        w.u64(_lpTimer);
-        w.tick(eq.scheduledWhen(_lpTimer));
-    }
+    eq.saveEvent(w, _lpTimer);
 
     // Bandwidth sampler event.
-    bool bwLive = _bwEvent != InvalidEventId && eq.isLive(_bwEvent);
-    w.b(bwLive);
-    if (bwLive) {
-        w.u64(_bwEvent);
-        w.tick(eq.scheduledWhen(_bwEvent));
-    }
+    eq.saveEvent(w, _bwEvent);
 
     _stats.saveState(w);
 }
@@ -679,24 +682,10 @@ MemoryController::loadState(SnapshotReader &r)
     _powerDownTicks = r.tick();
     _selfRefreshTicks = r.tick();
     _lpEntries = r.u64();
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { lpTimerFired(); },
-                        EventPriority::Default, "dram.lp");
-        _lpTimer = id;
-    } else {
-        _lpTimer = InvalidEventId;
-    }
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { sampleBandwidth(); },
-                        EventPriority::Stats, "dram.bw");
-        _bwEvent = id;
-    } else {
-        _bwEvent = InvalidEventId;
-    }
+    _lpTimer = eq.restoreEvent(r, [this] { lpTimerFired(); },
+                               EventPriority::Default, "dram.lp");
+    _bwEvent = eq.restoreEvent(r, [this] { sampleBandwidth(); },
+                               EventPriority::Stats, "dram.bw");
 
     _stats.loadState(r);
     // The restored power level is re-integrated by the energy ledger

@@ -14,7 +14,6 @@
 #ifndef VIP_MEM_MEMORY_CONTROLLER_HH
 #define VIP_MEM_MEMORY_CONTROLLER_HH
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "mem/dram_config.hh"
 #include "mem/mem_types.hh"
 #include "power/energy_account.hh"
+#include "sim/pool.hh"
 #include "sim/sim_object.hh"
 #include "stats/stats.hh"
 
@@ -115,7 +115,7 @@ class MemoryController : public SimObject
     bool
     quiescent() const
     {
-        return inFlight() == 0 && _idealInFlight == 0;
+        return inFlight() == 0 && _idealDone.empty();
     }
 
     /** @{ Serializable */
@@ -127,7 +127,14 @@ class MemoryController : public SimObject
     struct Pending
     {
         MemRequest req;
-        Tick enqueued;
+        Tick enqueued = 0;
+    };
+
+    /** A striped request's completion, fired by its last stripe. */
+    struct StripeJoin
+    {
+        std::uint32_t left = 0;
+        Callback done;
     };
 
     struct Bank
@@ -138,9 +145,11 @@ class MemoryController : public SimObject
 
     struct Channel
     {
-        std::deque<Pending> queue;
+        Ring<Pending> queue;
         std::vector<Bank> banks;
         bool busy = false;
+        /** The burst in service while busy. */
+        Pending active;
 
         /** @{ per-channel accounting (stats registry, dram.ch<i>.*) */
         std::uint64_t rowHits = 0;
@@ -156,6 +165,12 @@ class MemoryController : public SimObject
 
     /** Start servicing the next request on @p ch if idle. */
     void trySchedule(std::uint32_t ch);
+    /** Completion of the burst in service on @p ch. */
+    void finishBurst(std::uint32_t ch);
+    /** One stripe of join @p j completed. */
+    void finishStripe(std::uint32_t j);
+    /** Completion of the oldest ideal-mode access. */
+    void finishIdeal();
 
     /** Channels with a burst in service right now. */
     std::size_t busyChannelCount() const;
@@ -185,8 +200,11 @@ class MemoryController : public SimObject
     Tick _windowStart = 0;
     EventId _bwEvent = InvalidEventId;
 
-    /** Ideal-mode completions scheduled but not yet delivered. */
-    std::uint64_t _idealInFlight = 0;
+    /** Ideal-mode completions scheduled but not yet delivered.  All
+     *  share one latency and priority, so they fire in FIFO order. */
+    Ring<Callback> _idealDone;
+    /** Striped requests with stripes outstanding. */
+    IndexPool<StripeJoin> _joins;
 
     // Aggregate counters
     std::uint64_t _bytesRead = 0;

@@ -124,13 +124,7 @@ MetricsSampler::writeCsv(std::ostream &os) const
 void
 MetricsSampler::saveState(SnapshotWriter &w) const
 {
-    EventQueue &eq = _sys.eventq();
-    bool live = eq.isLive(_sampleEvent);
-    w.b(live);
-    if (live) {
-        w.u64(_sampleEvent);
-        w.tick(eq.scheduledWhen(_sampleEvent));
-    }
+    _sys.eventq().saveEvent(w, _sampleEvent);
     // The in-memory rows are restored too, so a post-run writeCsv()
     // is bit-identical to an uninterrupted run's.
     w.u32(static_cast<std::uint32_t>(_probes.size()));
@@ -144,13 +138,8 @@ MetricsSampler::saveState(SnapshotWriter &w) const
 void
 MetricsSampler::loadState(SnapshotReader &r)
 {
-    EventQueue &eq = _sys.eventq();
-    if (r.b()) {
-        _sampleEvent = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(_sampleEvent, when, [this] { sampleNow(); },
-                        EventPriority::Stats, "obs.metrics");
-    }
+    _sampleEvent = _sys.eventq().restoreEvent(
+        r, [this] { sampleNow(); }, EventPriority::Stats, "obs.metrics");
     std::uint32_t nProbes = r.u32();
     if (nProbes != _probes.size())
         fatal("metrics: snapshot has ", nProbes,

@@ -138,7 +138,7 @@ Profiler::writeJson(
 
     // Wall time attributed to sampled callbacks, scaled up by the
     // sampling ratio: the remainder of runWallMs is the loop itself
-    // (heap ops, compaction, audit hashing between events).
+    // (heap ops, audit hashing between events).
     double estCallbackNs = 0.0;
     for (const ProfKindRow &r : table)
         estCallbackNs += r.estTotalNs();
@@ -174,15 +174,12 @@ Profiler::writeJson(
 
     os << "  \"eventq\": {\n"
        << "    \"max_pending\": " << _maxPending << ",\n"
-       << "    \"max_heap\": " << _maxHeap << ",\n"
-       << "    \"compactions\": " << _compactions << ",\n"
        << "    \"timeline_stride\": " << timelineStride() << ",\n"
        << "    \"timeline\": [";
     for (std::size_t i = 0; i < _timeline.size(); ++i) {
         const ProfQueueSample &s = _timeline[i];
         os << (i ? ",\n      " : "\n      ") << "{\"tick\": "
-           << s.tick << ", \"pending\": " << s.pending
-           << ", \"heap\": " << s.heap << "}";
+           << s.tick << ", \"pending\": " << s.pending << "}";
     }
     os << (_timeline.empty() ? "]" : "\n    ]") << "\n  },\n";
 

@@ -4,10 +4,10 @@
  *
  * Attributes wall time to the event loop itself: which event kinds
  * dominate dispatch counts and wall cost, how the EventQueue's
- * occupancy (live events, heap slots, tombstones, compactions)
- * evolves over simulated time, and how the run's simulated-seconds-
- * per-wall-second breaks down.  This is the cost-attribution substrate
- * the event-loop optimization work (ROADMAP item 1) is aimed with.
+ * occupancy (pending events) evolves over simulated time, and how the
+ * run's simulated-seconds-per-wall-second breaks down.  This is the
+ * cost-attribution substrate the event-loop optimization work
+ * (ROADMAP item 1) is aimed with.
  *
  * Digest-neutrality contract (same as the tracer): the profiler is
  * attached to the EventQueue through a nullable observer pointer, it
@@ -76,7 +76,6 @@ struct ProfQueueSample
 {
     Tick tick = 0;
     std::uint32_t pending = 0; ///< live events
-    std::uint32_t heap = 0;    ///< heap slots incl. tombstones
 };
 
 class Profiler
@@ -90,8 +89,7 @@ class Profiler
      * dispatch is wall-timed; the queue then calls endDispatch()
      * right after the callback returns.  Both are observational. */
     bool
-    beginDispatch(const char *kind, Tick now, std::size_t pending,
-                  std::size_t heapSize)
+    beginDispatch(const char *kind, Tick now, std::size_t pending)
     {
         KindSlot &s = slotFor(kind);
         ++s.count;
@@ -100,7 +98,7 @@ class Profiler
         _sinceSample = 0;
         ++s.sampled;
         _curSlot = &s;
-        sampleQueue(now, pending, heapSize);
+        sampleQueue(now, pending);
         _t0 = std::chrono::steady_clock::now();
         return true;
     }
@@ -118,7 +116,6 @@ class Profiler
 
     /** @{ run-level bookkeeping (set by Simulation, not the queue) */
     void setRunWallMs(double ms) { _runWallMs = ms; }
-    void noteCompactions(std::uint64_t n) { _compactions = n; }
     void noteAllocCursor(std::uint64_t c) { _allocCursor = c; }
     /** @} */
 
@@ -147,7 +144,6 @@ class Profiler
         return _sampleEvery * _timelineDecimation;
     }
     std::uint32_t maxPending() const { return _maxPending; }
-    std::uint32_t maxHeap() const { return _maxHeap; }
     /** @} */
 
     /**
@@ -198,12 +194,10 @@ class Profiler
      *  needs no out-of-line profiler symbols — vip_sim must not
      *  depend on the vip_obs archive. */
     void
-    sampleQueue(Tick now, std::size_t pending, std::size_t heapSize)
+    sampleQueue(Tick now, std::size_t pending)
     {
         const auto p = static_cast<std::uint32_t>(pending);
-        const auto h = static_cast<std::uint32_t>(heapSize);
         _maxPending = std::max(_maxPending, p);
-        _maxHeap = std::max(_maxHeap, h);
         if (_timelineSkip > 0) {
             --_timelineSkip;
             return;
@@ -217,7 +211,7 @@ class Profiler
             _timeline.resize(kept);
             _timelineDecimation *= 2;
         }
-        _timeline.push_back(ProfQueueSample{now, p, h});
+        _timeline.push_back(ProfQueueSample{now, p});
         _timelineSkip = _timelineDecimation - 1;
     }
 
@@ -241,10 +235,8 @@ class Profiler
     std::uint64_t _timelineDecimation = 1;
     std::uint64_t _timelineSkip = 0; ///< samples until next keep
     std::uint32_t _maxPending = 0;
-    std::uint32_t _maxHeap = 0;
 
     double _runWallMs = 0.0;
-    std::uint64_t _compactions = 0;
     std::uint64_t _allocCursor = 0;
 };
 

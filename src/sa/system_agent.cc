@@ -1,7 +1,6 @@
 #include "sa/system_agent.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/latency.hh"
 #include "obs/stat_registry.hh"
@@ -101,9 +100,10 @@ void
 SystemAgent::memoryAccess(MemRequest req)
 {
     ++_statMemXfers;
-    auto r = std::make_shared<MemRequest>(std::move(req));
-    transferAttempt(r->bytes,
-                    [this, r] { _mem.access(std::move(*r)); }, 0);
+    const std::uint32_t bytes = req.bytes;
+    const std::uint32_t i = _dmaRequests.put(std::move(req));
+    transferAttempt(
+        bytes, [this, i] { _mem.access(_dmaRequests.take(i)); }, 0);
 }
 
 void

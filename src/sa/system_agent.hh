@@ -18,6 +18,7 @@
 #include "fault/fault_injector.hh"
 #include "mem/memory_controller.hh"
 #include "power/energy_account.hh"
+#include "sim/pool.hh"
 #include "sim/sim_object.hh"
 #include "stats/stats.hh"
 
@@ -151,6 +152,10 @@ class SystemAgent : public SimObject
     std::uint64_t _bytesDelivered = 0;
     std::uint64_t _bytesInFlight = 0;
     std::uint64_t _bytesRetransmitted = 0;
+    /** DMA requests crossing the link, parked by index so the
+     *  transfer's completion stays small enough not to allocate. */
+    IndexPool<MemRequest> _dmaRequests;
+
     /** Signal deliveries scheduled but not yet fired (not digested —
      *  purely a quiescence gate; always 0 at a checkpoint). */
     std::uint64_t _signalsInFlight = 0;

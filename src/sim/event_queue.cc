@@ -9,42 +9,44 @@ namespace vip
 bool
 EventQueue::serviceOne()
 {
-    while (!_heap.empty()) {
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        Entry e = std::move(_heap.back());
-        _heap.pop_back();
-        if (!_live.erase(e.id))
-            continue; // cancelled
-        vip_assert(e.when >= _curTick, "time went backwards");
-        if (e.when != _curTick) {
-            _curTick = e.when;
-            _tickServiced = 0;
-        }
-        if (++_tickServiced > _maxPerTick) {
-            panic("event queue livelock: ", _tickServiced,
-                  " events serviced at tick ", _curTick,
-                  " without time advancing (", pending(),
-                  " still pending)");
-        }
-        ++_serviced;
-        maybeCompact();
-        if (!_prof) {
-            e.cb();
-            return true;
-        }
-        // Profiled dispatch: the hooks are observational (count +
-        // occasional steady_clock read); the callback itself runs
-        // identically, so digests cannot diverge.
-        if (_prof->beginDispatch(e.kind, _curTick, _live.size(),
-                                 _heap.size())) {
-            e.cb();
-            _prof->endDispatch();
-        } else {
-            e.cb();
-        }
+    if (_heap.empty())
+        return false;
+    const Entry top = _heap.front();
+    // Take the payload and free the slot before the callback runs:
+    // the callback may schedule (reusing the slot) and the event's own
+    // handle is already stale, as for any serviced event.
+    Slot &slot = _slots[top.slot];
+    Callback cb = std::move(slot.cb);
+    const char *kind = slot.kind;
+    releaseSlot(top.slot);
+    removeAt(0);
+
+    vip_assert(top.when >= _curTick, "time went backwards");
+    if (top.when != _curTick) {
+        _curTick = top.when;
+        _tickServiced = 0;
+    }
+    if (++_tickServiced > _maxPerTick) {
+        panic("event queue livelock: ", _tickServiced,
+              " events serviced at tick ", _curTick,
+              " without time advancing (", pending(),
+              " still pending)");
+    }
+    ++_serviced;
+    if (!_prof) {
+        cb();
         return true;
     }
-    return false;
+    // Profiled dispatch: the hooks are observational (count +
+    // occasional steady_clock read); the callback itself runs
+    // identically, so digests cannot diverge.
+    if (_prof->beginDispatch(kind, _curTick, pending())) {
+        cb();
+        _prof->endDispatch();
+    } else {
+        cb();
+    }
+    return true;
 }
 
 Tick
@@ -57,19 +59,13 @@ Tick
 EventQueue::runUntil(Tick limit, const PreServiceHook &hook)
 {
     while (!_heap.empty() && !_stopRequested) {
-        // Purge dead entries at the top without advancing time.
-        const Entry &top = _heap.front();
-        if (!_live.contains(top.id)) {
-            std::pop_heap(_heap.begin(), _heap.end(), Later{});
-            _heap.pop_back();
-            continue;
-        }
-        if (top.when > limit)
+        const Tick when = _heap.front().when;
+        if (when > limit)
             break;
         // The hook observes the queue between events (checkpointing):
         // it must not schedule, cancel, or mutate simulated state.
         if (hook)
-            hook(top.when);
+            hook(when);
         if (_stopRequested)
             break;
         serviceOne();
@@ -82,100 +78,95 @@ EventQueue::runUntil(Tick limit, const PreServiceHook &hook)
     return _curTick;
 }
 
-Tick
-EventQueue::scheduledWhen(EventId id) const
+bool
+EventQueue::saveEvent(SnapshotWriter &w, EventId id) const
 {
-    vip_assert(_live.contains(id),
-               "scheduledWhen() on a dead event id ", id);
-    for (const Entry &e : _heap) {
-        if (e.id == id)
-            return e.when;
+    const bool live = isLive(id);
+    w.b(live);
+    if (live) {
+        w.u64(id.seq);
+        w.tick(_heap[_slots[id.slot].pos].when);
     }
-    panic("live event id ", id, " has no heap entry");
+    return live;
 }
 
-void
-EventQueue::restoreEvent(EventId id, Tick when, Callback cb,
+EventId
+EventQueue::restoreEvent(SnapshotReader &r, Callback cb,
                          EventPriority prio, const char *kind)
 {
-    vip_assert(id != InvalidEventId && id < _nextId,
-               "restoreEvent id ", id, " outside issued range");
+    if (!r.b())
+        return InvalidEventId;
+    const std::uint64_t seq = r.u64();
+    const Tick when = r.tick();
+    vip_assert(seq != 0 && seq < _nextSeq,
+               "restoreEvent id ", seq, " outside issued range");
     vip_assert(when >= _curTick, "restoreEvent in the past: when=",
                when, " cur=", _curTick);
-    bool inserted = _live.insert(id);
-    vip_assert(inserted, "restoreEvent id ", id, " already live");
-    _heap.push_back(Entry{when, static_cast<int>(prio), id, kind,
-                          std::move(cb)});
-    std::push_heap(_heap.begin(), _heap.end(), Later{});
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Compact once dead entries dominate the heap; the slack term
-    // keeps small queues from compacting on every cancel.
-    if (_heap.size() < 64 || _heap.size() < 2 * _live.size())
-        return;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < _heap.size(); ++i) {
-        if (_live.contains(_heap[i].id))
-            _heap[kept++] = std::move(_heap[i]);
+    for (const Entry &e : _heap) {
+        vip_assert((e.key & kSeqMask) != seq, "restoreEvent id ", seq,
+                   " already live");
     }
-    _heap.resize(kept);
-    _heap.shrink_to_fit();
-    std::make_heap(_heap.begin(), _heap.end(), Later{});
-    ++_compactions;
+    return insert(when, prio, seq, std::move(cb), kind);
 }
 
 void
 EventQueue::auditInvariants(AuditContext &ctx) const
 {
-    // Every live id must have exactly one heap entry; the heap may
-    // additionally hold dead (cancelled) entries, bounded by the
-    // compaction policy.
-    std::size_t liveInHeap = 0;
-    for (const Entry &e : _heap) {
-        if (_live.contains(e.id))
-            ++liveInHeap;
+    std::size_t misordered = 0;
+    std::size_t badLinks = 0;
+    std::size_t badIds = 0;
+    for (std::size_t i = 0; i < _heap.size(); ++i) {
+        const Entry &e = _heap[i];
+        if (i > 0 && before(e, _heap[(i - 1) / 4]))
+            ++misordered;
+        const std::uint64_t seq = e.key & kSeqMask;
+        if (e.slot >= _slots.size() || _slots[e.slot].pos != i ||
+            _slots[e.slot].seq != seq)
+            ++badLinks;
+        if (seq == 0 || seq >= _nextSeq)
+            ++badIds;
     }
-    ctx.checkEq("eventq.live_in_heap", liveInHeap, _live.size(),
-                "live ids without a heap entry");
-    ctx.checkLe("eventq.heap_bounded", _heap.size(),
-                std::max<std::size_t>(2 * _live.size(), 64),
-                "dead heap entries escaped compaction");
-    _live.forEach([&](EventId id) {
-        ctx.checkTrue("eventq.id_valid",
-                      id != InvalidEventId && id < _nextId,
-                      "live id outside issued range");
-    });
+    ctx.checkEq("eventq.heap_order", misordered, 0,
+                "heap entries ordered before their parent");
+    ctx.checkEq("eventq.slot_links", badLinks, 0,
+                "heap entries whose slot does not point back");
+    std::size_t free = 0;
+    for (std::uint32_t s = _freeHead;
+         s != kNoSlot && free < _slots.size(); s = _slots[s].pos)
+        ++free;
+    ctx.checkEq("eventq.slab_accounting", _slots.size(),
+                _heap.size() + free, "slab slots != pending + free");
+    ctx.checkEq("eventq.id_valid", badIds, 0,
+                "pending id outside issued range");
 }
 
 void
 EventQueue::saveState(SnapshotWriter &w) const
 {
     w.tick(_curTick);
-    w.u64(_nextId);
+    w.u64(_nextSeq);
     w.u64(_serviced);
     w.u64(_tickServiced);
-    // The live-id set, sorted: ids identify which periodic events are
-    // pending.  Their (when, prio, callback) are re-created by the
-    // owning components; restore is verified against this exact set.
-    std::vector<EventId> ids;
-    ids.reserve(_live.size());
-    _live.forEach([&](EventId id) { ids.push_back(id); });
+    // The pending sequence numbers, sorted: they identify which
+    // periodic events are pending.  Their (when, prio, callback) are
+    // re-created by the owning components; restore is verified
+    // against this exact set.
+    std::vector<std::uint64_t> ids;
+    ids.reserve(_heap.size());
+    for (const Entry &e : _heap)
+        ids.push_back(e.key & kSeqMask);
     std::sort(ids.begin(), ids.end());
     w.u64(ids.size());
-    for (EventId id : ids)
+    for (std::uint64_t id : ids)
         w.u64(id);
 }
 
 void
 EventQueue::loadState(SnapshotReader &r)
 {
-    vip_assert(_live.empty() && _heap.empty(),
-               "restoring into a non-empty event queue");
+    vip_assert(_heap.empty(), "restoring into a non-empty event queue");
     _curTick = r.tick();
-    _nextId = r.u64();
+    _nextSeq = r.u64();
     _serviced = r.u64();
     _tickServiced = r.u64();
     std::uint64_t n = r.u64();
@@ -188,9 +179,10 @@ EventQueue::loadState(SnapshotReader &r)
 void
 EventQueue::verifyRestore() const
 {
-    std::vector<EventId> ids;
-    ids.reserve(_live.size());
-    _live.forEach([&](EventId id) { ids.push_back(id); });
+    std::vector<std::uint64_t> ids;
+    ids.reserve(_heap.size());
+    for (const Entry &e : _heap)
+        ids.push_back(e.key & kSeqMask);
     std::sort(ids.begin(), ids.end());
     if (ids != _restoreIds) {
         fatal("checkpoint restore re-armed ", ids.size(),
@@ -205,9 +197,9 @@ void
 EventQueue::stateDigest(StateDigest &d) const
 {
     d.add(static_cast<std::uint64_t>(_curTick));
-    d.add(_nextId);
+    d.add(_nextSeq);
     d.add(_serviced);
-    d.add(static_cast<std::uint64_t>(_live.size()));
+    d.add(static_cast<std::uint64_t>(_heap.size()));
 }
 
 } // namespace vip

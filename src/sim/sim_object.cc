@@ -6,7 +6,7 @@ namespace vip
 {
 
 SimObject::SimObject(System &system, std::string name)
-    : _system(system), _name(std::move(name))
+    : _system(system), _eventq(system.eventq()), _name(std::move(name))
 {
     _system.registerObject(this);
 }
@@ -14,33 +14,6 @@ SimObject::SimObject(System &system, std::string name)
 SimObject::~SimObject()
 {
     _system.unregisterObject(this);
-}
-
-Tick
-SimObject::curTick() const
-{
-    return _system.curTick();
-}
-
-EventId
-SimObject::schedule(Tick when, EventQueue::Callback cb,
-                    EventPriority prio, const char *kind)
-{
-    return _system.eventq().schedule(when, std::move(cb), prio, kind);
-}
-
-EventId
-SimObject::scheduleIn(Tick delta, EventQueue::Callback cb,
-                      EventPriority prio, const char *kind)
-{
-    return _system.eventq().scheduleIn(delta, std::move(cb), prio,
-                                       kind);
-}
-
-void
-SimObject::deschedule(EventId id)
-{
-    _system.eventq().deschedule(id);
 }
 
 } // namespace vip

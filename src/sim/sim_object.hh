@@ -41,21 +41,32 @@ class SimObject : public Auditable, public Serializable
     System &system() const { return _system; }
 
     /** Current simulated time. */
-    Tick curTick() const;
+    Tick curTick() const { return _eventq.curTick(); }
 
     /** Schedule a callback at an absolute tick.  @p kind is the
      *  optional profiling tag (see EventQueue::schedule). */
-    EventId schedule(Tick when, EventQueue::Callback cb,
-                     EventPriority prio = EventPriority::Default,
-                     const char *kind = nullptr);
+    template <class F>
+    EventId
+    schedule(Tick when, F &&cb,
+             EventPriority prio = EventPriority::Default,
+             const char *kind = nullptr)
+    {
+        return _eventq.schedule(when, std::forward<F>(cb), prio, kind);
+    }
 
     /** Schedule a callback @p delta ticks from now. */
-    EventId scheduleIn(Tick delta, EventQueue::Callback cb,
-                       EventPriority prio = EventPriority::Default,
-                       const char *kind = nullptr);
+    template <class F>
+    EventId
+    scheduleIn(Tick delta, F &&cb,
+               EventPriority prio = EventPriority::Default,
+               const char *kind = nullptr)
+    {
+        return _eventq.scheduleIn(delta, std::forward<F>(cb), prio,
+                                  kind);
+    }
 
     /** Cancel a scheduled callback. */
-    void deschedule(EventId id);
+    void deschedule(EventId id) { _eventq.deschedule(id); }
 
     /**
      * Hook called by System::run() just before the first event is
@@ -95,6 +106,7 @@ class SimObject : public Auditable, public Serializable
 
   private:
     System &_system;
+    EventQueue &_eventq; ///< _system's queue
     std::string _name;
 };
 

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 
 namespace vip
 {
@@ -166,46 +172,118 @@ TEST(EventQueue, CancelledEntriesDoNotAccumulate)
 {
     // Regression: descheduling used to leave a tombstone per
     // cancelled id forever.  Schedule/deschedule 100k events and
-    // check the heap stays bounded by the live population (the
-    // compactor's 2x slack plus its minimum working size).
+    // check memory stays bounded by the peak live population: the
+    // slab only grows when every slot is in use.
     EventQueue eq;
     std::vector<EventId> live;
+    std::size_t peak = 0;
     for (int i = 0; i < 100'000; ++i) {
         EventId id = eq.schedule(1'000'000 + i, [] {});
+        peak = std::max(peak, eq.pending());
         if (i % 10 == 9) {
             live.push_back(id); // keep 10% alive
         } else {
             eq.deschedule(id);
         }
-        ASSERT_LE(eq.heapSize(),
-                  std::max<std::size_t>(2 * eq.pending(), 64))
-            << "after " << i << " schedules";
+        ASSERT_LE(eq.slabSize(), peak) << "after " << i << " schedules";
     }
     EXPECT_EQ(eq.pending(), live.size());
-    EXPECT_LE(eq.deadEntries(), eq.pending() + 64);
+    EXPECT_EQ(eq.slabSize(), peak);
 
-    // Draining by cancellation alone must also shrink the heap.
+    // Draining by cancellation alone empties the queue, and the
+    // freed slots are reused rather than grown past the peak.
     for (EventId id : live)
         eq.deschedule(id);
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_LE(eq.heapSize(), 64u);
+    EXPECT_TRUE(eq.empty());
+    for (int i = 0; i < 1000; ++i)
+        eq.schedule(2'000'000 + i, [] {});
+    EXPECT_LE(eq.slabSize(), peak);
 }
 
-TEST(EventQueue, ServicingAlsoCompactsDeadEntries)
+TEST(EventQueue, CancelledEventsNeverRun)
 {
-    // Dead entries can come to dominate without any further
-    // deschedule() call when serviceOne() shrinks the live set.
+    // Cancelled events interleaved with live ones at nearby ticks:
+    // only the live ones run, in order, and time never stops at a
+    // cancelled event's tick.
     EventQueue eq;
+    std::vector<int> ran;
     std::vector<EventId> doomed;
     for (int i = 0; i < 500; ++i)
-        eq.schedule(10'000 + i, [] {});
-    for (int i = 0; i < 400; ++i)
-        doomed.push_back(eq.schedule(20'000 + i, [] {}));
+        eq.schedule(10'000 + 2 * i, [&ran, i] { ran.push_back(i); });
+    for (int i = 0; i < 400; ++i) {
+        doomed.push_back(
+            eq.schedule(10'001 + 2 * i, [&ran] { ran.push_back(-1); }));
+    }
     for (EventId id : doomed)
         eq.deschedule(id);
     eq.run();
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_LE(eq.heapSize(), 64u);
+    ASSERT_EQ(ran.size(), 500u);
+    for (int i = 0; i < 500; ++i)
+        EXPECT_EQ(ran[i], i);
+    EXPECT_EQ(eq.curTick(), 10'998u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_LE(eq.slabSize(), 900u);
+}
+
+TEST(EventQueue, StaleHandleNeverAliasesLiveEvent)
+{
+    // A serviced or cancelled event's slot is recycled for the next
+    // schedule(); its old handle must not reach the newcomer.
+    EventQueue eq;
+    int runs = 0;
+    EventId first = eq.schedule(10, [&] { ++runs; });
+    eq.run();
+    EventId second = eq.schedule(20, [&] { ++runs; });
+    EXPECT_EQ(second.slot, first.slot);
+    EXPECT_NE(second, first);
+    eq.deschedule(first);
+    EXPECT_EQ(eq.pending(), 1u);
+
+    eq.deschedule(second);
+    EventId third = eq.schedule(30, [&] { ++runs; });
+    eq.deschedule(second);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(eq.curTick(), 30u);
+    EXPECT_NE(third, second);
+}
+
+TEST(EventQueue, DescheduleReleasesCaptures)
+{
+    // A cancelled event's closure is destroyed at once, not when its
+    // slot is next reused.
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    EventId id = eq.schedule(10, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.deschedule(id);
+    EXPECT_EQ(token.use_count(), 1);
+    eq.run();
+    EXPECT_EQ(*token, 0);
+}
+
+TEST(EventQueue, DescheduleFromHeapMiddleKeepsOrder)
+{
+    // Cancelling entries anywhere in the heap (not just the top)
+    // must leave the remaining service order intact.
+    EventQueue eq;
+    std::vector<std::uint64_t> log;
+    std::vector<EventId> ids;
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+        Tick when = 1 + (i * 7919) % 1024;
+        ids.push_back(eq.schedule(when, [&log, when] {
+            log.push_back(when);
+        }));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3)
+        eq.deschedule(ids[i]);
+    std::vector<AuditViolation> sink;
+    AuditContext ctx("eventq", eq.curTick(), /*strict=*/true, sink);
+    eq.auditInvariants(ctx);
+    eq.run();
+    EXPECT_EQ(log.size(), ids.size() - (ids.size() + 2) / 3);
+    EXPECT_TRUE(std::is_sorted(log.begin(), log.end()));
 }
 
 TEST(EventQueue, AuditInvariantsHoldUnderChurn)
@@ -254,6 +332,70 @@ TEST(EventQueue, ManyEventsStressDeterminism)
         return log;
     };
     EXPECT_EQ(runOnce(), runOnce());
+}
+
+TEST(Callback, OwnsMoveOnlyAndOversizedCaptures)
+{
+    // A move-only capture lives inline; one larger than the inline
+    // buffer goes to the heap.  Both run once and are destroyed with
+    // their Callback, wherever it was moved.
+    auto token = std::make_shared<int>(0);
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 5;
+    Callback small = [p = std::make_unique<int>(2), token] {
+        *token += *p;
+    };
+    Callback large = [big, token] { *token += int(big[15]); };
+    EXPECT_EQ(token.use_count(), 3);
+    Callback moved = std::move(large);
+    EXPECT_FALSE(large);
+    small();
+    moved();
+    EXPECT_EQ(*token, 7);
+    small = Callback();
+    moved = Callback();
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Callback, EmptyStdFunctionStaysEmpty)
+{
+    Callback empty = std::function<void()>();
+    EXPECT_FALSE(empty);
+    int runs = 0;
+    Callback full = std::function<void()>([&] { ++runs; });
+    ASSERT_TRUE(full);
+    full();
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(Ring, KeepsFifoOrderAcrossGrowthAndMidTake)
+{
+    Ring<int> r;
+    for (int i = 0; i < 5; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.take(0), 0); // head advances, then the ring wraps
+    for (int i = 5; i < 20; ++i)
+        r.push_back(i); // grows past its first 8 slots
+    EXPECT_EQ(r.take(3), 4); // out of the middle, as FR-FCFS does
+    std::vector<int> rest;
+    while (!r.empty())
+        rest.push_back(r.take(0));
+    std::vector<int> want{1, 2, 3};
+    for (int i = 5; i < 20; ++i)
+        want.push_back(i);
+    EXPECT_EQ(rest, want);
+}
+
+TEST(IndexPool, RecyclesIndices)
+{
+    IndexPool<std::string> pool;
+    const std::uint32_t a = pool.put("a");
+    const std::uint32_t b = pool.put("b");
+    EXPECT_NE(a, b);
+    EXPECT_EQ(pool.take(a), "a");
+    EXPECT_EQ(pool.put("c"), a);
+    EXPECT_EQ(pool[b], "b");
+    EXPECT_EQ(pool.take(a), "c");
 }
 
 } // namespace

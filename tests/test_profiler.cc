@@ -110,12 +110,10 @@ TEST(Profiler, TimelineStaysBoundedAndOrdered)
     for (std::size_t i = 1; i < tl.size(); ++i)
         EXPECT_LE(tl[i - 1].tick, tl[i].tick);
     std::uint32_t peak = 0;
-    for (const auto &s : tl) {
-        EXPECT_LE(s.pending, s.heap);
+    for (const auto &s : tl)
         peak = std::max(peak, s.pending);
-    }
     EXPECT_LE(peak, p->maxPending());
-    EXPECT_GT(p->maxHeap(), 0u);
+    EXPECT_GT(p->maxPending(), 0u);
 }
 
 TEST(Profiler, WriteJsonParsesAndBalances)
@@ -164,10 +162,10 @@ TEST(Profiler, StatsRegistryExposesProfNamespace)
     EXPECT_NE(s.find("\"prof.events\""), std::string::npos);
     EXPECT_NE(s.find("\"prof.kind.ip.unit.count\""),
               std::string::npos);
-    // The logical live-set gauge is unconditional (profiler or not);
-    // the physical heap internals ride along with --prof only.
+    // The live-set gauge is unconditional (profiler or not); the
+    // queue-pressure summary rides along with --prof only.
     EXPECT_NE(s.find("\"sim.eventq.live\""), std::string::npos);
-    EXPECT_NE(s.find("\"sim.eventq.compactions\""),
+    EXPECT_NE(s.find("\"prof.eventq.max_pending\""),
               std::string::npos);
 
     Simulation off(auditedCfg(SystemConfig::VIP),
@@ -177,11 +175,5 @@ TEST(Profiler, StatsRegistryExposesProfNamespace)
     off.writeStatsJson(os2);
     EXPECT_EQ(os2.str().find("\"prof."), std::string::npos);
     EXPECT_NE(os2.str().find("\"sim.eventq.live\""),
-              std::string::npos);
-    // Physical execution-history gauges diverge across restore, so
-    // they must stay out of baseline (profiler-off) stats.
-    EXPECT_EQ(os2.str().find("\"sim.eventq.heap\""),
-              std::string::npos);
-    EXPECT_EQ(os2.str().find("\"sim.eventq.compactions\""),
               std::string::npos);
 }

@@ -150,34 +150,19 @@ main(int argc, char **argv)
         // Queue pressure: maxima plus the sampled occupancy
         // timeline's shape.
         if (const vip::json::JsonValue *q = doc.find("eventq")) {
-            const double maxPending =
-                vip::json::numField(*q, "max_pending");
-            const double maxHeap =
-                vip::json::numField(*q, "max_heap");
-            const double compactions =
-                vip::json::numField(*q, "compactions");
-            std::printf("queue       : max %.0f pending, max %.0f "
-                        "heap, %.0f compactions\n",
-                        maxPending, maxHeap, compactions);
+            std::printf("queue       : max %.0f pending\n",
+                        vip::json::numField(*q, "max_pending"));
             if (const vip::json::JsonValue *tl = q->find("timeline");
                 tl && !tl->arr.empty()) {
-                double sumP = 0, sumH = 0, peakDead = 0;
-                for (const vip::json::JsonValue &s : tl->arr) {
-                    const double p = vip::json::numField(s, "pending");
-                    const double h = vip::json::numField(s, "heap");
-                    sumP += p;
-                    sumH += h;
-                    peakDead = std::max(peakDead, h - p);
-                }
-                const double n =
-                    static_cast<double>(tl->arr.size());
+                double sumP = 0;
+                for (const vip::json::JsonValue &s : tl->arr)
+                    sumP += vip::json::numField(s, "pending");
                 std::printf("              %zu samples (stride %.0f):"
-                            " mean %.1f pending, mean %.1f heap, "
-                            "peak %.0f tombstones\n",
+                            " mean %.1f pending\n",
                             tl->arr.size(),
                             vip::json::numField(*q,
                                                 "timeline_stride"),
-                            sumP / n, sumH / n, peakDead);
+                            sumP / static_cast<double>(tl->arr.size()));
             }
         }
 
