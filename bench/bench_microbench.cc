@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <ostream>
+#include <streambuf>
 #include <vector>
 
 #include "bench_util.hh"
@@ -195,6 +197,54 @@ BENCHMARK_CAPTURE(BM_FullPlatformVipRunTraced, FrameLifecycle,
                       | static_cast<std::uint32_t>(TraceCat::Sched)
                       | static_cast<std::uint32_t>(TraceCat::Fault))
     ->Unit(benchmark::kMillisecond);
+
+/** Stream buffer that counts and discards every byte written. */
+class NullBuf : public std::streambuf
+{
+  public:
+    std::uint64_t bytes() const { return _bytes; }
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        _bytes += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        ++_bytes;
+        return traits_type::not_eof(c);
+    }
+
+  private:
+    std::uint64_t _bytes = 0;
+};
+
+/**
+ * The series.json writer alone: one W4 VIP 0.2 s run with --ts (every
+ * stat selected), then writeSeriesJson into a null stream per
+ * iteration.  This is the cost every "timeseries" fleet job pays at
+ * its end, separate from the sampling cost inside the run.
+ */
+void
+BM_SeriesJsonWrite(benchmark::State &state)
+{
+    SocConfig cfg;
+    cfg.system = SystemConfig::VIP;
+    cfg.simSeconds = 0.2;
+    cfg.ts.armed = true;
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    sim.run();
+    NullBuf buf;
+    std::ostream os(&buf);
+    for (auto _ : state)
+        sim.writeSeriesJson(os);
+    state.SetBytesProcessed(static_cast<std::int64_t>(buf.bytes()));
+}
+BENCHMARK(BM_SeriesJsonWrite)->Unit(benchmark::kMillisecond);
 
 /**
  * --sim-throughput: the simulator-speed trajectory behind fleet

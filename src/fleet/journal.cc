@@ -1,51 +1,13 @@
 #include "fleet/journal.hh"
 
-#include <cstdio>
-
+#include "obs/json.hh"
+#include "obs/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace vip
 {
 namespace fleet
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 void
 FleetJournal::open(const std::string &path)
@@ -64,7 +26,7 @@ FleetJournal::Record::Record(FleetJournal *j, double wallMs,
     if (!_j)
         return;
     _line = "{\"seq\": " + std::to_string(_j->_seq++) +
-            ", \"wall_ms\": " + jsonNum(wallMs) + ", \"type\": \"" +
+            ", \"wall_ms\": " + fmtG17(wallMs) + ", \"type\": \"" +
             type + "\"";
 }
 
@@ -81,8 +43,7 @@ FleetJournal::Record &
 FleetJournal::Record::str(const char *key, const std::string &v)
 {
     if (_j)
-        _line += ", \"" + std::string(key) + "\": \"" +
-                 jsonEscape(v) + "\"";
+        _line += ", \"" + std::string(key) + "\": " + json::quoted(v);
     return *this;
 }
 
@@ -90,7 +51,7 @@ FleetJournal::Record &
 FleetJournal::Record::num(const char *key, double v)
 {
     if (_j)
-        _line += ", \"" + std::string(key) + "\": " + jsonNum(v);
+        _line += ", \"" + std::string(key) + "\": " + fmtG17(v);
     return *this;
 }
 

@@ -15,6 +15,8 @@
 #include <utility>
 
 #include "fleet/transport/faulty_transport.hh"
+#include "obs/json.hh"
+#include "obs/json_writer.hh"
 #include "obs/stats_io.hh"
 #include "obs/stats_merge.hh"
 #include "sim/logging.hh"
@@ -28,39 +30,6 @@ namespace fleet
 
 namespace
 {
-
-std::string
-esc(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-fmtNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 bool
 fileExists(const std::string &path)
@@ -115,7 +84,7 @@ workerArgs(const JobSpec &spec, const FleetJob &job)
     a.push_back("--seed");
     a.push_back(std::to_string(job.seed));
     a.push_back("--seconds");
-    a.push_back(fmtNum(spec.seconds));
+    a.push_back(fmtG17(spec.seconds));
     if (!job.faultPlan.empty()) {
         a.push_back("--fault-plan");
         a.push_back(job.faultPlan);
@@ -132,7 +101,7 @@ workerArgs(const JobSpec &spec, const FleetJob &job)
         a.push_back("--metrics-out");
         a.push_back(attempt_files::kMetrics);
         a.push_back("--metrics-interval-ms");
-        a.push_back(fmtNum(pol.heartbeatIntervalMs));
+        a.push_back(fmtG17(pol.heartbeatIntervalMs));
     }
     if (pol.timeseries) {
         a.push_back("--ts");
@@ -145,7 +114,7 @@ workerArgs(const JobSpec &spec, const FleetJob &job)
     a.push_back(attempt_files::kPmDir);
     if (pol.checkpointEveryMs > 0.0) {
         a.push_back("--checkpoint-every-ms");
-        a.push_back(fmtNum(pol.checkpointEveryMs));
+        a.push_back(fmtG17(pol.checkpointEveryMs));
     }
     for (const auto &x : spec.extraArgs)
         a.push_back(x);
@@ -502,7 +471,7 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
                 .u64("attempt", static_cast<std::uint64_t>(attempt))
                 .str("host", h.spec.name)
                 .num("job_wall_ms", elapsed);
-            note(id + ": done (" + fmtNum(elapsed) + " wall ms)");
+            note(id + ": done (" + fmtG17(elapsed) + " wall ms)");
         } else {
             _journal.event(nowMs, "stale_reject")
                 .str("job", id)
@@ -690,7 +659,7 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                             .u64("token", slot.token)
                             .num("tick_ms", hb.tickMs);
                         note(p.job.id + ": chaos SIGKILL at " +
-                             fmtNum(hb.tickMs) + " simulated ms");
+                             fmtG17(hb.tickMs) + " simulated ms");
                     }
                 }
             }
@@ -713,7 +682,7 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                     .str("host", h.spec.name)
                     .num("silent_ms", nowMs - slot.lastBeatMs);
                 note(p.job.id + ": no heartbeat for " +
-                     fmtNum(nowMs - slot.lastBeatMs) +
+                     fmtG17(nowMs - slot.lastBeatMs) +
                      " wall ms; killed as hung");
             }
             return;
@@ -734,7 +703,7 @@ FleetSupervisor::expireLease(Slot &slot, double nowMs)
     const JobProgress &p = _sched.job(idx);
     const ShardPaths paths = shardPaths(_opt.outDir, p.job.id);
     const std::string why =
-        "lease expired after " + fmtNum(_spec.fleet.leaseMs) +
+        "lease expired after " + fmtG17(_spec.fleet.leaseMs) +
         " ms on host " + h.spec.name +
         (h.health.lastError().empty()
              ? ""
@@ -1143,9 +1112,9 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
     os << "{\n"
        << "  \"kind\": \"vip-fleet-status\",\n"
        << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": \"" << esc(_spec.name) << "\",\n"
+       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
        << "  \"final\": " << (final ? "true" : "false") << ",\n"
-       << "  \"wall_ms\": " << fmtNum(nowMs) << ",\n"
+       << "  \"wall_ms\": " << fmtG17(nowMs) << ",\n"
        << "  \"jobs\": {\n"
        << "    \"total\": " << jobs.size() << ",\n"
        << "    \"pending\": " << nPending << ",\n"
@@ -1154,22 +1123,22 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
        << "    \"done\": " << nDone << ",\n"
        << "    \"failed\": " << nFailed << "\n  },\n";
     os << "  \"throughput\": {\n"
-       << "    \"sim_target_ms_per_job\": " << fmtNum(targetMs)
+       << "    \"sim_target_ms_per_job\": " << fmtG17(targetMs)
        << ",\n"
-       << "    \"sim_ms_done\": " << fmtNum(simDone) << ",\n"
-       << "    \"sim_ms_per_wall_s\": " << fmtNum(activeRate)
+       << "    \"sim_ms_done\": " << fmtG17(simDone) << ",\n"
+       << "    \"sim_ms_per_wall_s\": " << fmtG17(activeRate)
        << ",\n"
-       << "    \"eta_ms\": " << fmtNum(etaMs) << "\n  },\n";
+       << "    \"eta_ms\": " << fmtG17(etaMs) << "\n  },\n";
     os << "  \"job_detail\": [\n";
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const JobProgress &p = jobs[i];
-        os << "    {\"id\": \"" << esc(p.job.id) << "\", \"state\": "
+        os << "    {\"id\": " << json::quoted(p.job.id) << ", \"state\": "
            << "\"" << jobStateName(p.state) << "\", \"attempts\": "
-           << p.attempts << ", \"sim_ms\": " << fmtNum(simMs[i]);
+           << p.attempts << ", \"sim_ms\": " << fmtG17(simMs[i]);
         if (rates[i] > 0.0)
-            os << ", \"sim_ms_per_wall_s\": " << fmtNum(rates[i]);
+            os << ", \"sim_ms_per_wall_s\": " << fmtG17(rates[i]);
         if (!p.host.empty())
-            os << ", \"host\": \"" << esc(p.host) << "\"";
+            os << ", \"host\": " << json::quoted(p.host);
         // Per-shard throughput window (newest last) plus the
         // steady-state verdict: a running shard is judged on the
         // relative spread of its rate window; a committed shard
@@ -1177,7 +1146,7 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
         if (const std::deque<double> *w = windows[i]) {
             os << ", \"rate_window\": [";
             for (std::size_t k = 0; k < w->size(); ++k)
-                os << (k ? ", " : "") << fmtNum((*w)[k]);
+                os << (k ? ", " : "") << fmtG17((*w)[k]);
             os << "]";
             double lo = (*w)[0], hi = (*w)[0], sum = 0.0;
             for (double v : *w) {
@@ -1196,15 +1165,15 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
         const double steadyTick =
             i < _jobSteadyTickMs.size() ? _jobSteadyTickMs[i] : -1.0;
         if (steadyTick >= 0.0)
-            os << ", \"steady_tick_ms\": " << fmtNum(steadyTick);
+            os << ", \"steady_tick_ms\": " << fmtG17(steadyTick);
         os << "}" << (i + 1 < jobs.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
     os << "  \"hosts\": [\n";
     for (std::size_t i = 0; i < _hosts.size(); ++i) {
         const HostRuntime &h = _hosts[i];
-        os << "    {\"name\": \"" << esc(h.spec.name)
-           << "\", \"state\": \"" << h.health.stateName()
+        os << "    {\"name\": " << json::quoted(h.spec.name)
+           << ", \"state\": \"" << h.health.stateName()
            << "\", \"quarantines\": " << h.health.quarantines()
            << ", \"op_failures\": " << h.health.opFailures()
            << ", \"jobs_done\": " << h.jobsDone;
@@ -1257,39 +1226,39 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     os << "{\n"
        << "  \"kind\": \"vip-fleet-report\",\n"
        << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": \"" << esc(_spec.name) << "\",\n"
-       << "  \"seconds\": " << fmtNum(_spec.seconds) << ",\n"
+       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
+       << "  \"seconds\": " << fmtG17(_spec.seconds) << ",\n"
        << "  \"mode\": \"" << workerModeName(_opt.mode) << "\",\n"
        << "  \"interrupted\": "
        << (out.interrupted ? "true" : "false") << ",\n";
     if (!out.fatal.empty())
-        os << "  \"fatal\": \"" << esc(out.fatal) << "\",\n";
+        os << "  \"fatal\": " << json::quoted(out.fatal) << ",\n";
     os << "  \"policy\": {\n"
        << "    \"workers\": " << pol.workers << ",\n"
        << "    \"max_attempts\": " << pol.maxAttempts << ",\n"
-       << "    \"backoff_base_ms\": " << fmtNum(pol.backoffBaseMs)
+       << "    \"backoff_base_ms\": " << fmtG17(pol.backoffBaseMs)
        << ",\n"
-       << "    \"backoff_cap_ms\": " << fmtNum(pol.backoffCapMs)
+       << "    \"backoff_cap_ms\": " << fmtG17(pol.backoffCapMs)
        << ",\n"
        << "    \"backoff_jitter\": "
        << (pol.backoffJitter ? "true" : "false") << ",\n"
-       << "    \"lease_ms\": " << fmtNum(pol.leaseMs) << ",\n"
+       << "    \"lease_ms\": " << fmtG17(pol.leaseMs) << ",\n"
        << "    \"heartbeat_deadline_ms\": "
-       << fmtNum(pol.heartbeatDeadlineMs) << ",\n"
+       << fmtG17(pol.heartbeatDeadlineMs) << ",\n"
        << "    \"heartbeat_interval_ms\": "
-       << fmtNum(pol.heartbeatIntervalMs) << ",\n"
+       << fmtG17(pol.heartbeatIntervalMs) << ",\n"
        << "    \"heartbeat_grace_ms\": "
-       << fmtNum(_opt.heartbeatGraceMsOverride >= 0.0
+       << fmtG17(_opt.heartbeatGraceMsOverride >= 0.0
                      ? _opt.heartbeatGraceMsOverride
                      : pol.heartbeatGraceMs)
        << ",\n"
        << "    \"quarantine_after\": " << pol.quarantineAfter
        << ",\n"
        << "    \"probe_interval_ms\": "
-       << fmtNum(pol.probeIntervalMs) << ",\n"
+       << fmtG17(pol.probeIntervalMs) << ",\n"
        << "    \"fetch_retries\": " << pol.fetchRetries << ",\n"
        << "    \"checkpoint_every_ms\": "
-       << fmtNum(pol.checkpointEveryMs) << ",\n"
+       << fmtG17(pol.checkpointEveryMs) << ",\n"
        << "    \"resume\": " << (pol.resume ? "true" : "false")
        << "\n  },\n";
     os << "  \"summary\": {\n"
@@ -1312,11 +1281,11 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     for (std::size_t i = 0; i < out.hosts.size(); ++i) {
         const HostReport &h = out.hosts[i];
         os << "    {\n"
-           << "      \"name\": \"" << esc(h.name) << "\",\n"
-           << "      \"transport\": \"" << esc(h.transport)
-           << "\",\n"
+           << "      \"name\": " << json::quoted(h.name) << ",\n"
+           << "      \"transport\": " << json::quoted(h.transport)
+           << ",\n"
            << "      \"slots\": " << h.slots << ",\n"
-           << "      \"state\": \"" << esc(h.state) << "\",\n"
+           << "      \"state\": " << json::quoted(h.state) << ",\n"
            << "      \"quarantines\": " << h.quarantines << ",\n"
            << "      \"op_failures\": " << h.opFailures << ",\n"
            << "      \"jobs_done\": " << h.jobsDone;
@@ -1324,8 +1293,8 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
             os << ",\n      \"faults_injected\": "
                << h.faultsInjected;
         if (!h.lastError.empty())
-            os << ",\n      \"last_error\": \"" << esc(h.lastError)
-               << "\"";
+            os << ",\n      \"last_error\": "
+               << json::quoted(h.lastError);
         os << "\n    }" << (i + 1 < out.hosts.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
@@ -1338,8 +1307,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
         for (const JobProgress &p : out.jobs) {
             if (p.leaseExpiries == 0)
                 continue;
-            os << (first ? "" : ", ") << "\"" << esc(p.job.id)
-               << "\"";
+            os << (first ? "" : ", ") << json::quoted(p.job.id);
             first = false;
         }
     }
@@ -1350,8 +1318,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
         for (const HostReport &h : out.hosts) {
             if (h.quarantines == 0)
                 continue;
-            os << (first ? "" : ", ") << "\"" << esc(h.name)
-               << "\"";
+            os << (first ? "" : ", ") << json::quoted(h.name);
             first = false;
         }
     }
@@ -1359,21 +1326,22 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
 
     auto jobJson = [&os](const JobProgress &p, bool failedOnly) {
         os << "    {\n"
-           << "      \"id\": \"" << esc(p.job.id) << "\",\n"
-           << "      \"config\": \"" << esc(p.job.config) << "\",\n"
-           << "      \"workload\": \"" << esc(p.job.workload)
-           << "\",\n"
+           << "      \"id\": " << json::quoted(p.job.id) << ",\n"
+           << "      \"config\": " << json::quoted(p.job.config)
+           << ",\n"
+           << "      \"workload\": " << json::quoted(p.job.workload)
+           << ",\n"
            << "      \"seed\": " << p.job.seed << ",\n";
         if (!p.job.faultPlan.empty())
-            os << "      \"fault_plan\": \"" << esc(p.job.faultPlan)
-               << "\",\n";
+            os << "      \"fault_plan\": "
+               << json::quoted(p.job.faultPlan) << ",\n";
         os << "      \"state\": \"" << jobStateName(p.state)
            << "\",\n"
            << "      \"attempts\": " << p.attempts << ",\n"
            << "      \"resumed\": "
            << (p.everResumed ? "true" : "false") << ",\n";
         if (!p.host.empty())
-            os << "      \"host\": \"" << esc(p.host) << "\",\n";
+            os << "      \"host\": " << json::quoted(p.host) << ",\n";
         if (p.leaseExpiries > 0)
             os << "      \"lease_expiries\": " << p.leaseExpiries
                << ",\n";
@@ -1382,18 +1350,17 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
                << ",\n";
         if (p.rescued)
             os << "      \"rescued\": true,\n";
-        os << "      \"wall_ms\": " << fmtNum(p.wallMs);
+        os << "      \"wall_ms\": " << fmtG17(p.wallMs);
         if (!failedOnly && p.state == JobState::Done)
-            os << ",\n      \"stats\": \"shards/" << esc(p.job.id)
-               << "/stats.json\"";
+            os << ",\n      \"stats\": "
+               << json::quoted("shards/" + p.job.id + "/stats.json");
         if (!p.lastError.empty())
-            os << ",\n      \"last_error\": \"" << esc(p.lastError)
-               << "\"";
+            os << ",\n      \"last_error\": "
+               << json::quoted(p.lastError);
         if (!p.history.empty()) {
             os << ",\n      \"history\": [";
             for (std::size_t i = 0; i < p.history.size(); ++i)
-                os << (i ? ", " : "") << "\"" << esc(p.history[i])
-                   << "\"";
+                os << (i ? ", " : "") << json::quoted(p.history[i]);
             os << "]";
         }
         os << "\n    }";

@@ -251,23 +251,38 @@ numField(const JsonValue &obj, const char *key)
     return v && v->kind == JsonValue::Kind::Number ? v->num : 0.0;
 }
 
-std::string
-quoted(const std::string &s)
+void
+appendQuoted(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
+    static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
     for (char c : s) {
+        const auto u = static_cast<unsigned char>(c);
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default: out += c; break;
+          default:
+            if (u < 0x20) {
+                out += "\\u00";
+                out += kHex[u >> 4];
+                out += kHex[u & 0xf];
+            } else {
+                out += c;
+            }
         }
     }
     out += '"';
+}
+
+std::string
+quoted(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendQuoted(out, s);
     return out;
 }
 

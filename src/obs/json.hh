@@ -11,6 +11,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,8 +54,17 @@ std::string strField(const JsonValue &obj, const char *key);
 /** Object member as number (0.0 when missing or not a number). */
 double numField(const JsonValue &obj, const char *key);
 
-/** Escape a string for embedding in a JSON document (adds quotes). */
-std::string quoted(const std::string &s);
+/**
+ * Append @p s to @p out as a JSON string literal, quotes included.
+ * Quote, backslash and every control character are escaped (newline,
+ * tab and carriage return by their short names, the rest as a
+ * lower-case \\u00xx escape), so any input yields valid JSON.  This
+ * is the one escaper behind every JSON file the project writes.
+ */
+void appendQuoted(std::string &out, std::string_view s);
+
+/** @p s as a JSON string literal (appendQuoted into a new string). */
+std::string quoted(std::string_view s);
 
 } // namespace json
 } // namespace vip

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
-#include "obs/json.hh"
+#include "obs/json_writer.hh"
 #include "obs/latency.hh"
 #include "obs/provenance.hh"
 #include "sim/logging.hh"
@@ -13,25 +12,6 @@
 
 namespace vip
 {
-
-namespace
-{
-
-/**
- * Shortest round-trippable formatting: %.17g renders doubles
- * losslessly but noisily; %.9g is plenty for counters and timing
- * values and keeps the file diffable by eye.  NaN/inf never appear
- * (writeJson rejects them).
- */
-std::string
-formatNumber(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-} // namespace
 
 void
 StatRegistry::add(StatDef def)
@@ -141,24 +121,13 @@ StatRegistry::writeJson(
                   return a->path < b->path;
               });
 
-    os << "{\n";
-    os << "  \"schemaVersion\": " << kStatsSchemaVersion << ",\n";
-    os << "  \"kind\": \"vip-stats\",\n";
-    os << "  \"provenance\": {";
-    bool first = true;
-    for (const auto &[k, v] : provenanceFields()) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"run\": {";
-    first = true;
-    for (const auto &[k, v] : meta) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"stats\": [\n";
+    JsonChunkWriter w(os);
+    w << "{\n  \"schemaVersion\": ";
+    w.uint(kStatsSchemaVersion) << ",\n  \"kind\": \"vip-stats\",\n"
+                                << "  \"provenance\": ";
+    w.strObject(provenanceFields()) << ",\n  \"run\": ";
+    w.strObject(meta) << ",\n";
+    w << "  \"stats\": [\n";
     for (std::size_t i = 0; i < order.size(); ++i) {
         const StatDef &d = *order[i];
         double v = d.get();
@@ -166,18 +135,19 @@ StatRegistry::writeJson(
             warn("stat ", d.path, " is not finite; dumping as 0");
             v = 0.0;
         }
-        os << "    {\"path\": \"" << d.path << "\", \"value\": "
-           << formatNumber(v) << ", \"unit\": \"" << d.unit
-           << "\", \"tol\": \"";
+        w << "    {\"path\": ";
+        w.str(d.path) << ", \"value\": ";
+        w.num(v) << ", \"unit\": ";
+        w.str(d.unit) << ", \"tol\": \"";
         if (d.tol == Tolerance::Exact)
-            os << "exact";
+            w << "exact";
         else
-            os << "pct:" << formatNumber(d.tolPct);
-        os << "\", \"desc\": " << json::quoted(d.desc) << "}"
-           << (i + 1 < order.size() ? "," : "") << "\n";
+            (w << "pct:").num(d.tolPct);
+        w << "\", \"desc\": ";
+        w.str(d.desc) << "}" << (i + 1 < order.size() ? ",\n" : "\n");
     }
-    os << "  ]\n";
-    os << "}\n";
+    w << "  ]\n}\n";
+    w.flush();
 }
 
 } // namespace vip

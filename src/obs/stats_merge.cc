@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "obs/json.hh"
+#include "obs/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace vip
@@ -79,14 +80,13 @@ writeAggregateJson(std::ostream &os,
 {
     auto num = [](double v) {
         // Full round-trip precision, but keep integers readable.
-        char buf[40];
         if (std::isfinite(v) && v == std::floor(v) &&
             std::fabs(v) < 1e15) {
+            char buf[40];
             std::snprintf(buf, sizeof(buf), "%.1f", v);
-        } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
+            return std::string(buf);
         }
-        return std::string(buf);
+        return fmtG17(v);
     };
     os << "{";
     bool first = true;

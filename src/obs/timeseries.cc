@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "obs/json_writer.hh"
 #include "obs/provenance.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -34,26 +34,6 @@ matchOne(const char *p, const char *s)
             return false;
     }
     return !*s;
-}
-
-/** Deterministic number formatting shared by every array in the
- *  JSON output (shortest round-trip-safe form is overkill here; nine
- *  significant digits keep large files readable and stable). */
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-void
-writeArray(std::ostream &os, const std::vector<double> &v)
-{
-    os << "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        os << (i ? "," : "") << num(v[i]);
-    os << "]";
 }
 
 } // namespace
@@ -217,93 +197,67 @@ TimeSeries::writeJson(
     std::ostream &os,
     const std::vector<std::pair<std::string, std::string>> &meta) const
 {
-    os << "{\n"
-       << "  \"kind\": \"vip-series\",\n"
-       << "  \"schemaVersion\": " << kSchemaVersion << ",\n";
-    os << "  \"provenance\": {";
-    bool first = true;
-    for (const auto &[k, v] : provenanceFields()) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v
-           << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"run\": {";
-    first = true;
-    for (const auto &[k, v] : meta) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v
-           << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"interval_ms\": " << num(toMs(_interval)) << ",\n"
-       << "  \"glob\": \"" << _cfg.glob << "\",\n"
-       << "  \"samples\": " << _samples << ",\n"
-       << "  \"stride\": " << _stride << ",\n"
-       << "  \"rows\": " << _rows.size() << ",\n";
+    JsonChunkWriter w(os);
+    w << "{\n  \"kind\": \"vip-series\",\n  \"schemaVersion\": ";
+    w.uint(kSchemaVersion) << ",\n  \"provenance\": ";
+    w.strObject(provenanceFields()) << ",\n  \"run\": ";
+    w.strObject(meta) << ",\n";
+    w << "  \"interval_ms\": ";
+    w.num(toMs(_interval)) << ",\n  \"glob\": ";
+    w.str(_cfg.glob) << ",\n  \"samples\": ";
+    w.uint(_samples) << ",\n  \"stride\": ";
+    w.uint(_stride) << ",\n  \"rows\": ";
+    w.uint(_rows.size()) << ",\n";
 
-    os << "  \"steady\": {\"detected\": "
-       << (_steady ? "true" : "false")
-       << ", \"tick_ms\": " << num(steadyTickMs())
-       << ", \"threshold_pct\": " << num(_cfg.steadyThresholdPct)
-       << ", \"window\": " << _cfg.steadyWindow
-       << ", \"every\": " << _cfg.steadyEvery
-       << ", \"warmup_ms\": " << num(_cfg.steadyWarmupMs)
-       << ", \"tracked\": [";
-    for (std::size_t i = 0; i < _trackedPaths.size(); ++i)
-        os << (i ? ", " : "") << '"' << _trackedPaths[i] << '"';
-    os << "]},\n";
+    w << "  \"steady\": {\"detected\": "
+      << (_steady ? "true" : "false") << ", \"tick_ms\": ";
+    w.num(steadyTickMs()) << ", \"threshold_pct\": ";
+    w.num(_cfg.steadyThresholdPct) << ", \"window\": ";
+    w.uint(_cfg.steadyWindow) << ", \"every\": ";
+    w.uint(_cfg.steadyEvery) << ", \"warmup_ms\": ";
+    w.num(_cfg.steadyWarmupMs) << ", \"tracked\": [";
+    for (std::size_t i = 0; i < _trackedPaths.size(); ++i) {
+        w << (i ? ", " : "");
+        w.str(_trackedPaths[i]);
+    }
+    w << "]},\n";
 
-    std::vector<double> ticks;
-    ticks.reserve(_rows.size());
-    for (const Row &r : _rows)
-        ticks.push_back(toMs(r.tick));
-    os << "  \"ticks_ms\": ";
-    writeArray(os, ticks);
-    os << ",\n";
+    const std::size_t n = _rows.size();
+    std::vector<double> ticks(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ticks[i] = toMs(_rows[i].tick);
+    w << "  \"ticks_ms\": ";
+    w.array(ticks.data(), n) << ",\n";
 
     // Derived series are computed here, from the stored (already
-    // decimated) rows — the run itself never pays for them.
+    // decimated) rows — the run itself never pays for them.  One
+    // pass per series fills every derived array; the scratch vectors
+    // are reused from series to series.
     constexpr std::size_t kWin = 8;    // windowed min/max span, rows
     constexpr double kEwmaAlpha = 0.2; // EWMA smoothing factor
-    os << "  \"series\": [\n";
+    std::vector<double> vals(n), rate(n), ewma(n), wmin(n), wmax(n);
+    w << "  \"series\": [\n";
     for (std::size_t si = 0; si < _sel.size(); ++si) {
         const Sel &s = _sel[si];
-        std::vector<double> vals;
-        vals.reserve(_rows.size());
-        for (const Row &r : _rows)
-            vals.push_back(r.vals[si]);
+        for (std::size_t i = 0; i < n; ++i)
+            vals[i] = _rows[i].vals[si];
 
-        bool counter = s.tol == Tolerance::Exact && !vals.empty();
-        for (std::size_t i = 1; counter && i < vals.size(); ++i)
+        bool counter = s.tol == Tolerance::Exact && n > 0;
+        for (std::size_t i = 1; counter && i < n; ++i)
             counter = vals[i] >= vals[i - 1];
-        counter = counter && !vals.empty() &&
-                  vals.back() > vals.front();
+        counter = counter && vals[n - 1] > vals[0];
 
-        os << "    {\"path\": \"" << s.path << "\", \"unit\": \""
-           << s.unit << "\", \"kind\": \""
-           << (counter ? "counter" : "gauge") << "\",\n"
-           << "     \"values\": ";
-        writeArray(os, vals);
-        if (counter) {
-            std::vector<double> rate(vals.size(), 0.0);
-            for (std::size_t i = 1; i < vals.size(); ++i) {
-                const double dtSec =
-                    (ticks[i] - ticks[i - 1]) * 1e-3;
-                rate[i] = dtSec > 0.0
-                              ? (vals[i] - vals[i - 1]) / dtSec
-                              : 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i == 0) {
+                rate[0] = 0.0;
+                ewma[0] = vals[0];
+            } else {
+                const double dtSec = (ticks[i] - ticks[i - 1]) * 1e-3;
+                rate[i] = dtSec > 0.0 ? (vals[i] - vals[i - 1]) / dtSec
+                                      : 0.0;
+                ewma[i] = kEwmaAlpha * vals[i] +
+                          (1.0 - kEwmaAlpha) * ewma[i - 1];
             }
-            os << ",\n     \"rate_per_s\": ";
-            writeArray(os, rate);
-        }
-        std::vector<double> ewma(vals.size(), 0.0);
-        std::vector<double> wmin(vals.size(), 0.0);
-        std::vector<double> wmax(vals.size(), 0.0);
-        for (std::size_t i = 0; i < vals.size(); ++i) {
-            ewma[i] = i == 0 ? vals[0]
-                             : kEwmaAlpha * vals[i] +
-                                   (1.0 - kEwmaAlpha) * ewma[i - 1];
             const std::size_t lo = i + 1 >= kWin ? i + 1 - kWin : 0;
             double mn = vals[lo], mx = vals[lo];
             for (std::size_t j = lo; j <= i; ++j) {
@@ -313,15 +267,25 @@ TimeSeries::writeJson(
             wmin[i] = mn;
             wmax[i] = mx;
         }
-        os << ",\n     \"ewma\": ";
-        writeArray(os, ewma);
-        os << ",\n     \"win_min\": ";
-        writeArray(os, wmin);
-        os << ",\n     \"win_max\": ";
-        writeArray(os, wmax);
-        os << "}" << (si + 1 < _sel.size() ? ",\n" : "\n");
+
+        w << "    {\"path\": ";
+        w.str(s.path) << ", \"unit\": ";
+        w.str(s.unit) << ", \"kind\": \""
+                      << (counter ? "counter" : "gauge")
+                      << "\",\n     \"values\": ";
+        w.array(vals.data(), n);
+        if (counter) {
+            w << ",\n     \"rate_per_s\": ";
+            w.array(rate.data(), n);
+        }
+        w << ",\n     \"ewma\": ";
+        w.array(ewma.data(), n) << ",\n     \"win_min\": ";
+        w.array(wmin.data(), n) << ",\n     \"win_max\": ";
+        w.array(wmax.data(), n)
+            << (si + 1 < _sel.size() ? "},\n" : "}\n");
     }
-    os << "  ]\n}\n";
+    w << "  ]\n}\n";
+    w.flush();
 }
 
 void

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "obs/json.hh"
 #include "obs/provenance.hh"
 #include "sim/logging.hh"
 
@@ -22,32 +23,6 @@ const struct { const char *name; TraceCat cat; } kCats[] = {
     {"cpu", TraceCat::Cpu},     {"sched", TraceCat::Sched},
     {"fault", TraceCat::Fault}, {"power", TraceCat::Power},
 };
-
-/** JSON-escape a string (control chars, quotes, backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Format ticks (ps) as microseconds with fixed precision. */
 std::string
@@ -172,8 +147,8 @@ Tracer::writeJson(
         if (!used[t])
             continue;
         os << ",\n{\"ph\": \"M\", \"pid\": 1, \"tid\": " << t
-           << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-           << jsonEscape(_strings[t - 1]) << "\"}}";
+           << ", \"name\": \"thread_name\", \"args\": {\"name\": "
+           << json::quoted(_strings[t - 1]) << "}}";
     }
 
     forEach([&](const TraceEvent &ev) {
@@ -183,7 +158,7 @@ Tracer::writeJson(
         os << ",\n{\"ph\": \"" << ev.ph << "\", \"pid\": 1, \"tid\": "
            << ev.track << ", \"ts\": " << usString(ev.ts);
         if (ev.ph != 'E')
-            os << ", \"name\": \"" << jsonEscape(name) << "\"";
+            os << ", \"name\": " << json::quoted(name);
         os << ", \"cat\": \""
            << traceCatName(static_cast<TraceCat>(1u << ev.cat)) << "\"";
         if (ev.ph == 'X')
@@ -220,11 +195,11 @@ Tracer::writeJson(
     os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\n";
     os << "  \"traceSchemaVersion\": " << kTraceSchemaVersion << ",\n";
     for (const auto &[k, v] : provenanceFields())
-        os << "  \"" << jsonEscape(k) << "\": \"" << jsonEscape(v)
-           << "\",\n";
+        os << "  " << json::quoted(k) << ": " << json::quoted(v)
+           << ",\n";
     for (const auto &[k, v] : meta)
-        os << "  \"" << jsonEscape(k) << "\": \"" << jsonEscape(v)
-           << "\",\n";
+        os << "  " << json::quoted(k) << ": " << json::quoted(v)
+           << ",\n";
     os << "  \"categories\": \"" << traceCatsToString(_categories)
        << "\",\n";
     os << "  \"droppedEvents\": " << _dropped << "\n}\n}\n";

@@ -24,18 +24,28 @@ fnv1a(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
+/** Little-endian, appended in one insert (the checkpoint ring calls
+ *  these for every word of every snapshot). */
+template <typename U>
+void
+putLe(std::vector<std::uint8_t> &buf, U v)
+{
+    std::uint8_t b[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf.insert(buf.end(), b, b + sizeof(U));
+}
+
 void
 putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    putLe(buf, v);
 }
 
 void
 putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    putLe(buf, v);
 }
 
 void

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/stats_io.hh"
 #include "sim/logging.hh"
 
@@ -72,18 +73,6 @@ overrideFor(const vip::ToleranceOverrides &overrides,
     return best;
 }
 
-void
-jsonEscape(std::string *s)
-{
-    std::string out;
-    for (char c : *s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    *s = out;
-}
-
 /** The --json report: one row per union-of-paths stat, each with the
  *  rule that was applied and its verdict. */
 void
@@ -105,14 +94,10 @@ writeJsonReport(const vip::StatsFile &baseline,
     auto row = [&](const std::string &path, const char *verdict,
                    const std::string &rule, const double *b,
                    const double *c) {
-        std::string p = path;
-        jsonEscape(&p);
-        std::string r = rule;
-        jsonEscape(&r);
-        std::printf("%s    {\"path\": \"%s\", \"verdict\": "
-                    "\"%s\", \"rule\": \"%s\"",
-                    first ? "" : ",\n", p.c_str(), verdict,
-                    r.c_str());
+        std::printf("%s    {\"path\": %s, \"verdict\": \"%s\", "
+                    "\"rule\": %s",
+                    first ? "" : ",\n", vip::json::quoted(path).c_str(),
+                    verdict, vip::json::quoted(rule).c_str());
         if (b)
             std::printf(", \"baseline\": %.17g", *b);
         if (c)
