@@ -81,6 +81,9 @@ Simulation::Simulation(SocConfig cfg, Workload workload)
         _registry.addExact("ts.stride", "current decimation stride",
                            "", [t] { return double(t->stride()); });
     }
+    // After _ts: the CSV carries its steady-state verdict.
+    if (_cfg.metrics.enabled())
+        buildMetrics();
 }
 
 Simulation::~Simulation() = default;
@@ -151,8 +154,9 @@ Simulation::build()
 void
 Simulation::buildMetrics()
 {
-    _metrics = std::make_unique<MetricsSampler>(
-        _sys, fromMs(_cfg.metrics.intervalMs));
+    const Tick interval = fromMs(_cfg.metrics.intervalMs);
+    _metrics = std::make_unique<MetricsSampler>(_cfg.metrics.out,
+                                                interval);
 
     for (auto &[kind, ipPtr] : _ips) {
         IpCore *ip = ipPtr.get();
@@ -178,17 +182,14 @@ Simulation::buildMetrics()
         });
     }
 
+    // The delta baselines are Simulation members so a checkpoint can
+    // carry them: the probes themselves are closures and are rebuilt,
+    // but their windows must not restart on resume.
     MemoryController *mem = _mem.get();
-    // The delta baselines live in Simulation-owned cells so a
-    // checkpoint can carry them: the probes themselves are closures
-    // and are rebuilt, but their windows must not restart on resume.
-    _bwLastBytes = std::make_shared<std::uint64_t>(0);
-    auto lastBytes = _bwLastBytes;
-    Tick interval = fromMs(_cfg.metrics.intervalMs);
-    _metrics->addProbe("mem.bw_gbps", [mem, lastBytes, interval] {
+    _metrics->addProbe("mem.bw_gbps", [this, mem, interval] {
         std::uint64_t total = mem->bytesRead() + mem->bytesWritten();
-        std::uint64_t delta = total - *lastBytes;
-        *lastBytes = total;
+        std::uint64_t delta = total - _bwLastBytes;
+        _bwLastBytes = total;
         return static_cast<double>(delta) / toSec(interval) / 1e9;
     });
     _metrics->addProbe("mem.lp_state", [mem] {
@@ -196,12 +197,10 @@ Simulation::buildMetrics()
     });
 
     SystemAgent *sa = _sa.get();
-    _saLastBusy = std::make_shared<Tick>(0);
-    auto lastBusy = _saLastBusy;
-    _metrics->addProbe("sa.utilization", [sa, lastBusy, interval] {
+    _metrics->addProbe("sa.utilization", [this, sa, interval] {
         Tick busy = sa->busyTicks();
-        Tick delta = busy - *lastBusy;
-        *lastBusy = busy;
+        Tick delta = busy - _saLastBusy;
+        _saLastBusy = busy;
         return static_cast<double>(delta)
                / static_cast<double>(interval);
     });
@@ -233,15 +232,6 @@ Simulation::buildMetrics()
         _metrics->addProbe("steady_tick_ms",
                            [t] { return t->steadyTickMs(); });
     }
-
-    // "(buffer)" is the test sentinel for "keep rows in memory only";
-    // any real path gets incremental streaming so a killed run still
-    // leaves a usable series behind.
-    if (!_cfg.metrics.out.empty() && _cfg.metrics.out != "(buffer)")
-        _metrics->streamTo(_cfg.metrics.out);
-    // start() / loadState()+resume() is the caller's choice: a fresh
-    // run schedules the first sample, a restore re-arms the pending
-    // one from the snapshot.
 }
 
 void
@@ -596,14 +586,9 @@ Simulation::run()
 
     try {
         if (!_cfg.restorePath.empty()) {
-            // The sampler must exist (probes registered, stream path
-            // set) before its section is loaded; its pending event is
-            // re-armed by loadState() inside restoreFrom().
-            if (_cfg.metrics.enabled())
-                buildMetrics();
             restoreFrom(_cfg.restorePath);
             if (_metrics)
-                _metrics->resume();
+                _metrics->resume(_sys.curTick());
         } else {
             scheduleStopEvents();
             for (auto &f : _flows)
@@ -617,12 +602,8 @@ Simulation::run()
             }
             if (_cfg.audit.periodic())
                 scheduleAudit();
-            // The sampler schedules real events (digest-visible), so
-            // it only exists when explicitly requested.
-            if (_cfg.metrics.enabled()) {
-                buildMetrics();
+            if (_metrics)
                 _metrics->start();
-            }
         }
         if (_profiler) {
             // Wall time of the event loop itself; everything outside
@@ -644,6 +625,10 @@ Simulation::run()
         // tail boundaries and the two series stay byte-identical.
         if (_ts)
             _ts->finish(_sys.curTick());
+        // An interrupted run leaves its remaining CSV rows to the
+        // resumed run, which appends them after its resume stamp.
+        if (_metrics && !_interrupted)
+            _metrics->finish(_sys.curTick());
         _ledger.closeAll(_sys.curTick());
         // Final audit pass under every enabled mode: catches
         // teardown-time leaks that a periodic pass between frames
@@ -704,7 +689,8 @@ Simulation::runEventLoop(Tick limit)
                    ? _cfg.interruptFlag->load(std::memory_order_relaxed)
                    : 0;
     };
-    if (_plans.empty() && !probe && !_cfg.interruptFlag && !_ts) {
+    if (_plans.empty() && !probe && !_cfg.interruptFlag && !_ts &&
+        !_metrics) {
         _sys.run(limit);
         return;
     }
@@ -744,22 +730,27 @@ Simulation::runEventLoop(Tick limit)
         bool due = probe;
         for (const CheckpointPlan &p : _plans)
             due = due || next >= p.next;
-        if (!due || !quiescent())
-            return;
-        ++quiet;
-        maxGap = std::max(maxGap, next - lastQuiet);
-        lastQuiet = next;
-        for (CheckpointPlan &p : _plans) {
-            if (next < p.next)
-                continue;
-            saveCheckpoint(p.path);
-            if (p.period > 0) {
-                while (p.next <= next)
-                    p.next += p.period;
-            } else {
-                p.next = MaxTick;
+        if (due && quiescent()) {
+            ++quiet;
+            maxGap = std::max(maxGap, next - lastQuiet);
+            lastQuiet = next;
+            for (CheckpointPlan &p : _plans) {
+                if (next < p.next)
+                    continue;
+                saveCheckpoint(p.path);
+                if (p.period > 0) {
+                    while (p.next <= next)
+                        p.next += p.period;
+                } else {
+                    p.next = MaxTick;
+                }
             }
         }
+        // Metrics rows last: a checkpoint taken just above holds no
+        // rows for boundaries in [curTick, next), and the run resumed
+        // from it emits them.
+        if (_metrics)
+            _metrics->observe(next);
     };
     _sys.run(limit, hook);
     // A signal that never met a quiescent point (or landed after the
@@ -834,6 +825,7 @@ Simulation::identityString() const
        << "/" << (_cfg.enableRollback ? 1 : 0)
        << " noProgress=" << _cfg.noProgressSec
        << " recordTrace=" << (_cfg.recordTrace ? 1 : 0)
+       // Observational, but a resumed CSV must keep its cadence.
        << " metrics=";
     if (_cfg.metrics.enabled())
         os << _cfg.metrics.intervalMs;
@@ -920,8 +912,8 @@ Simulation::saveCheckpoint(const std::string &path)
     w.b(_metrics != nullptr);
     if (_metrics) {
         _metrics->saveState(w);
-        w.u64(*_bwLastBytes);
-        w.tick(*_saLastBusy);
+        w.u64(_bwLastBytes);
+        w.tick(_saLastBusy);
     }
 
     w.beginSection("timeseries");
@@ -1084,8 +1076,8 @@ Simulation::restoreFrom(const std::string &path)
               _metrics ? "has one" : "has none", " (config mismatch)");
     if (_metrics) {
         _metrics->loadState(r);
-        *_bwLastBytes = r.u64();
-        *_saLastBusy = r.tick();
+        _bwLastBytes = r.u64();
+        _saLastBusy = r.tick();
     }
     r.closeSection();
 
@@ -1223,7 +1215,7 @@ Simulation::writePostmortem(const std::string &reason,
             info.faultPlan = _cfg.fault.describe();
         info.meta = runMeta();
         if (_metrics)
-            info.metricsPath = _metrics->streamPath();
+            info.metricsPath = _metrics->path();
         // Point at the newest snapshot of the checkpoint ring so the
         // bundle is resumable: rerun with --restore=<checkpointPath>.
         if (_checkpointsWritten > 0) {

@@ -188,8 +188,9 @@ class Simulation
     std::string identityString() const;
     /** Load @p path into the freshly built platform (run() entry). */
     void restoreFrom(const std::string &path);
-    /** Run the event loop, threading the checkpoint hook when any
-     *  cadence/one-shot checkpoints (or the probe) are armed. */
+    /** Run the event loop, threading the pre-service hook when
+     *  checkpoints, the probe, an interrupt flag or a sampler (time
+     *  series, metrics CSV) need it. */
     void runEventLoop(Tick limit);
     /** @} */
 
@@ -271,8 +272,8 @@ class Simulation
     EventId _progressEvent = InvalidEventId;
     /** Baselines of the delta-style metrics probes (mem.bw_gbps,
      *  sa.utilization); serialized so resumed CSVs stay exact. */
-    std::shared_ptr<std::uint64_t> _bwLastBytes;
-    std::shared_ptr<Tick> _saLastBusy;
+    std::uint64_t _bwLastBytes = 0;
+    Tick _saLastBusy = 0;
     std::uint64_t _checkpointsWritten = 0;
     std::string _lastCheckpointPath;
     Tick _lastCheckpointTick = 0;

@@ -144,7 +144,6 @@ struct FleetSupervisor::Slot
     std::size_t hostIdx = 0;
     std::size_t jobIdx = FleetScheduler::npos;
     std::uint64_t token = 0;
-    std::string aDir;
     double startMs = 0.0;
 
     /** @{ heartbeat tracking */
@@ -348,7 +347,6 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     slot.active = true;
     slot.jobIdx = jobIdx;
     slot.token = p.token;
-    slot.aDir = req.attemptDir;
     slot.startMs = nowMs;
     slot.lastBeatMs = nowMs;
     slot.handle = std::move(handle);
@@ -370,7 +368,6 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
 
 bool
 FleetSupervisor::commitArtifacts(const std::string &jobId,
-                                 const std::string &aDir,
                                  const ArtifactManifest &m,
                                  bool success, int attempt,
                                  std::string *err)
@@ -443,8 +440,7 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
     if (slot.exitResult.ok && produced) {
         if (_sched.acceptSuccess(idx, slot.token, elapsed)) {
             std::string err;
-            if (!commitArtifacts(id, slot.aDir, m, true, attempt,
-                                 &err))
+            if (!commitArtifacts(id, m, true, attempt, &err))
                 fatal("fleet: cannot commit accepted artifacts of ",
                       id, ": ", err);
             ++h.jobsDone;
@@ -504,8 +500,7 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
         if (_sched.acceptFailure(idx, slot.token, nowMs, elapsed,
                                  why, canResume)) {
             std::string err;
-            if (!commitArtifacts(id, slot.aDir, m, false, attempt,
-                                 &err))
+            if (!commitArtifacts(id, m, false, attempt, &err))
                 note(id + ": checkpoint commit failed: " + err);
             const JobProgress &q = _sched.job(idx);
             _journal.event(nowMs, "job_fail")
@@ -797,8 +792,7 @@ FleetSupervisor::pollZombies(double nowMs)
                 if (_sched.acceptSuccess(z.jobIdx, z.token,
                                          nowMs - z.startMs)) {
                     std::string cerr2;
-                    if (!commitArtifacts(id, z.aDir, m, true, 0,
-                                         &cerr2))
+                    if (!commitArtifacts(id, m, true, 0, &cerr2))
                         fatal("fleet: cannot commit rescued "
                               "artifacts of ", id, ": ", cerr2);
                     ++h.jobsDone;

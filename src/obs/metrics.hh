@@ -1,38 +1,39 @@
 /**
  * @file
- * Periodic metrics sampler.
+ * Periodic metrics CSV.
  *
  * Samples a set of registered probes (buffer/lane occupancy, credits,
  * DRAM bandwidth, power states, ...) every N simulated milliseconds
- * and dumps the time series as CSV.  Sampling runs at
- * EventPriority::Stats so each row observes post-update state.
+ * and streams each row to the output file as it is taken, flushed, so
+ * the series survives a run killed by the no-progress guard or a
+ * SimFatal -- the flight recorder points at this file from its crash
+ * bundle, and the fleet reads its last row as a heartbeat.
  *
- * With streamTo() set, every sampled row is also appended (and
- * flushed) to the output file as it is taken, so the series survives
- * a run killed by the no-progress guard or a SimFatal — the flight
- * recorder points at this file from its crash bundle.
- *
- * Unlike the Tracer, the sampler *does* schedule events, which
- * perturbs the event queue's scheduling digest — so it is only
- * constructed when --metrics-out is given.
+ * Sampling is passive, like the TimeSeries plane: the event loop's
+ * pre-service hook calls observe() with the tick of the event about
+ * to run, and every interval boundary strictly before it is sampled
+ * then.  No event intervenes between such a boundary and that call,
+ * so each row sees the same post-update state a sampling event at the
+ * boundary would.  The sampler schedules nothing and keeps no rows,
+ * so a run with a metrics CSV has the digest stream and event counts
+ * of a bare run, and its checkpoint section has a fixed size.
  */
 
 #ifndef VIP_OBS_METRICS_HH
 #define VIP_OBS_METRICS_HH
 
+#include <cstdint>
+#include <fstream>
 #include <functional>
-#include <iosfwd>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace vip
 {
 
-class System;
 class SnapshotWriter;
 class SnapshotReader;
 
@@ -41,64 +42,61 @@ class MetricsSampler
   public:
     using Probe = std::function<double()>;
 
-    MetricsSampler(System &sys, Tick interval);
-    ~MetricsSampler();
+    /** Sample every @p interval ticks into the CSV at @p path. */
+    MetricsSampler(std::string path, Tick interval);
 
     /** Register a named probe; call before start(). */
     void addProbe(std::string name, Probe fn);
 
-    /**
-     * Stream rows incrementally to @p path: the header is written at
-     * start(), each sampled row is appended and flushed immediately.
-     * Call before start().
-     */
-    void streamTo(std::string path);
-
-    /** Schedule the first sample one interval from now. */
+    /** Truncate-open the CSV and write its header (fresh runs).  An
+     *  unwritable path is a SimFatal. */
     void start();
 
     /**
-     * Re-open the incremental stream after a checkpoint restore:
-     * append mode (the rows streamed before the checkpoint stay in
-     * place, no second header), stamped with a '# resumed-at-tick='
-     * comment so the seam is visible in the CSV.  The pending sample
-     * event itself is restored by loadState(); call resume() after
-     * it, in place of start().
+     * Re-open the CSV after a checkpoint restore, in place of
+     * start(): append mode (the rows written before the checkpoint
+     * stay in place, no second header), stamped with a
+     * '# resumed-at-tick=@p now' comment so the seam is visible.
+     * Call after loadState().
      */
-    void resume();
+    void resume(Tick now);
 
-    /** @{ checkpoint serialization (pending event + sampled rows) */
+    /** Pre-service hook: sample every boundary before @p next.  The
+     *  fast path (no boundary crossed) is a single comparison. */
+    void
+    observe(Tick next)
+    {
+        if (next > _nextBoundary)
+            catchUp(next - 1);
+    }
+
+    /** End of run: sample every boundary up to and including @p end. */
+    void finish(Tick end) { catchUp(end); }
+
+    /** @{ checkpoint serialization (next boundary + probe count) */
     void saveState(SnapshotWriter &w) const;
     void loadState(SnapshotReader &r);
     /** @} */
 
-    std::size_t rows() const { return _ticks.size(); }
+    /** Rows sampled so far, including those before a restore. */
+    std::size_t
+    rows() const
+    {
+        return static_cast<std::size_t>(_nextBoundary / _interval - 1);
+    }
     std::size_t probes() const { return _probes.size(); }
     Tick interval() const { return _interval; }
-    const std::string &streamPath() const { return _path; }
-    /** True once start() opened the incremental stream. */
-    bool streaming() const { return _stream != nullptr; }
-
-    /**
-     * Write the full time series as CSV: '#'-prefixed provenance
-     * header, one column per probe, one row per sample.  Redundant
-     * when streamTo() is active (the file already has every row).
-     */
-    void writeCsv(std::ostream &os) const;
+    const std::string &path() const { return _path; }
 
   private:
-    void sampleNow();
-    void writeHeader(std::ostream &os) const;
-    void writeRow(std::ostream &os, std::size_t r) const;
+    void catchUp(Tick last);
+    void openOrDie(std::ios::openmode mode);
 
-    System &_sys;
-    Tick _interval;
-    std::vector<std::pair<std::string, Probe>> _probes;
-    std::vector<Tick> _ticks;
-    std::vector<double> _data; ///< rows() * probes(), row-major
     std::string _path;
-    std::unique_ptr<std::ofstream> _stream;
-    EventId _sampleEvent = InvalidEventId; ///< next pending sample
+    Tick _interval;
+    Tick _nextBoundary; ///< first boundary not yet sampled
+    std::vector<std::pair<std::string, Probe>> _probes;
+    std::ofstream _out;
 };
 
 } // namespace vip

@@ -30,7 +30,6 @@ const char *const kProfKindCatalog[] = {
     "cpu.sleep",   ///< idle sleep timer
     "flow.gen",    ///< application frame generation
     "flow.input",  ///< touch/input injection
-    "obs.metrics", ///< periodic metrics sampling
     "sim.audit",   ///< periodic invariant audit
     "sim.guard",   ///< no-progress guard check
     "sim.stop",    ///< scheduled app stop
@@ -43,7 +42,6 @@ Profiler::Profiler(const ProfConfig &cfg)
     : _sampleEvery(cfg.sampleEvery == 0 ? 1 : cfg.sampleEvery)
 {
     _used.reserve(kSlots);
-    _timeline.reserve(kTimelineCap);
 }
 
 std::uint64_t
@@ -176,12 +174,12 @@ Profiler::writeJson(
        << "    \"max_pending\": " << _maxPending << ",\n"
        << "    \"timeline_stride\": " << timelineStride() << ",\n"
        << "    \"timeline\": [";
-    for (std::size_t i = 0; i < _timeline.size(); ++i) {
-        const ProfQueueSample &s = _timeline[i];
+    const std::vector<ProfQueueSample> &tl = _timeline.items();
+    for (std::size_t i = 0; i < tl.size(); ++i) {
         os << (i ? ",\n      " : "\n      ") << "{\"tick\": "
-           << s.tick << ", \"pending\": " << s.pending << "}";
+           << tl[i].tick << ", \"pending\": " << tl[i].pending << "}";
     }
-    os << (_timeline.empty() ? "]" : "\n    ]") << "\n  },\n";
+    os << (tl.empty() ? "]" : "\n    ]") << "\n  },\n";
 
     os << "  \"alloc\": {\"frame_cursor_bytes\": " << _allocCursor
        << "},\n";

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/decimating_ring.hh"
 #include "obs/prof_config.hh"
 #include "sim/types.hh"
 
@@ -136,12 +137,12 @@ class Profiler
     /** @{ queue-occupancy timeline */
     const std::vector<ProfQueueSample> &timeline() const
     {
-        return _timeline;
+        return _timeline.items();
     }
     /** Events between consecutive timeline samples. */
     std::uint64_t timelineStride() const
     {
-        return _sampleEvery * _timelineDecimation;
+        return _sampleEvery * _timeline.stride();
     }
     std::uint32_t maxPending() const { return _maxPending; }
     /** @} */
@@ -198,21 +199,7 @@ class Profiler
     {
         const auto p = static_cast<std::uint32_t>(pending);
         _maxPending = std::max(_maxPending, p);
-        if (_timelineSkip > 0) {
-            --_timelineSkip;
-            return;
-        }
-        if (_timeline.size() >= kTimelineCap) {
-            // Keep every 2nd sample and double the stride: the
-            // timeline stays bounded while spanning the whole run.
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < _timeline.size(); i += 2)
-                _timeline[kept++] = _timeline[i];
-            _timeline.resize(kept);
-            _timelineDecimation *= 2;
-        }
-        _timeline.push_back(ProfQueueSample{now, p});
-        _timelineSkip = _timelineDecimation - 1;
+        _timeline.offer([&] { return ProfQueueSample{now, p}; });
     }
 
     /** One address across all translation units (C++17 inline). */
@@ -228,12 +215,9 @@ class Profiler
     std::array<KindSlot, kSlots> _table{};
     std::vector<std::size_t> _used; ///< occupied table indices
 
-    /** Bounded occupancy timeline; decimates (keep-every-2nd, double
-     *  the stride) whenever it fills, so long runs keep a coarse but
-     *  complete picture. */
-    std::vector<ProfQueueSample> _timeline;
-    std::uint64_t _timelineDecimation = 1;
-    std::uint64_t _timelineSkip = 0; ///< samples until next keep
+    /** Bounded occupancy timeline; decimates whenever it fills, so
+     *  long runs keep a coarse but complete picture. */
+    DecimatingRing<ProfQueueSample> _timeline{kTimelineCap};
     std::uint32_t _maxPending = 0;
 
     double _runWallMs = 0.0;

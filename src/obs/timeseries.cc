@@ -111,29 +111,14 @@ TimeSeries::sampleAt(Tick t)
         _samples % _cfg.steadyEvery == 0)
         detectStep(t);
 
-    if (_skip > 0) {
-        --_skip;
-        return;
-    }
-    if (_rows.size() >= kRowCap) {
-        // Stride-doubling decimation (the profiler's queue-timeline
-        // trick): halve the stored history, double the keep stride.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < _rows.size(); i += 2) {
-            if (kept != i) // self-move would empty row 0
-                _rows[kept] = std::move(_rows[i]);
-            ++kept;
-        }
-        _rows.resize(kept);
-        _stride *= 2;
-    }
-    Row r;
-    r.tick = t;
-    r.vals.reserve(_sel.size());
-    for (const Sel &s : _sel)
-        r.vals.push_back(s.get());
-    _rows.push_back(std::move(r));
-    _skip = _stride - 1;
+    _rows.offer([&] {
+        Row r;
+        r.tick = t;
+        r.vals.reserve(_sel.size());
+        for (const Sel &s : _sel)
+            r.vals.push_back(s.get());
+        return r;
+    });
 }
 
 void
@@ -206,7 +191,7 @@ TimeSeries::writeJson(
     w.num(toMs(_interval)) << ",\n  \"glob\": ";
     w.str(_cfg.glob) << ",\n  \"samples\": ";
     w.uint(_samples) << ",\n  \"stride\": ";
-    w.uint(_stride) << ",\n  \"rows\": ";
+    w.uint(_rows.stride()) << ",\n  \"rows\": ";
     w.uint(_rows.size()) << ",\n";
 
     w << "  \"steady\": {\"detected\": "
@@ -222,10 +207,11 @@ TimeSeries::writeJson(
     }
     w << "]},\n";
 
-    const std::size_t n = _rows.size();
+    const std::vector<Row> &rows = _rows.items();
+    const std::size_t n = rows.size();
     std::vector<double> ticks(n);
     for (std::size_t i = 0; i < n; ++i)
-        ticks[i] = toMs(_rows[i].tick);
+        ticks[i] = toMs(rows[i].tick);
     w << "  \"ticks_ms\": ";
     w.array(ticks.data(), n) << ",\n";
 
@@ -240,7 +226,7 @@ TimeSeries::writeJson(
     for (std::size_t si = 0; si < _sel.size(); ++si) {
         const Sel &s = _sel[si];
         for (std::size_t i = 0; i < n; ++i)
-            vals[i] = _rows[i].vals[si];
+            vals[i] = rows[i].vals[si];
 
         bool counter = s.tol == Tolerance::Exact && n > 0;
         for (std::size_t i = 1; counter && i < n; ++i)
@@ -296,10 +282,10 @@ TimeSeries::saveState(SnapshotWriter &w) const
         w.str(s.path);
     w.tick(_nextBoundary);
     w.u64(_samples);
-    w.u64(_stride);
-    w.u64(_skip);
+    w.u64(_rows.stride());
+    w.u64(_rows.skip());
     w.u64(_rows.size());
-    for (const Row &r : _rows) {
+    for (const Row &r : _rows.items()) {
         w.tick(r.tick);
         for (double v : r.vals)
             w.d(v);
@@ -335,19 +321,16 @@ TimeSeries::loadState(SnapshotReader &r)
     }
     _nextBoundary = r.tick();
     _samples = r.u64();
-    _stride = r.u64();
-    _skip = r.u64();
-    std::uint64_t nRows = r.u64();
-    _rows.clear();
-    _rows.reserve(nRows);
-    for (std::uint64_t i = 0; i < nRows; ++i) {
-        Row row;
+    const std::uint64_t stride = r.u64();
+    const std::uint64_t skip = r.u64();
+    std::vector<Row> rows(r.u64());
+    for (Row &row : rows) {
         row.tick = r.tick();
         row.vals.reserve(_sel.size());
         for (std::size_t j = 0; j < _sel.size(); ++j)
             row.vals.push_back(r.d());
-        _rows.push_back(std::move(row));
     }
+    _rows.restore(stride, skip, std::move(rows));
     _steady = r.b();
     _steadyTick = r.tick();
     std::uint32_t nTracks = r.u32();

@@ -4,21 +4,20 @@
  * steady-state detection.
  *
  * Every surface the simulator had was either an end-of-run scalar
- * (the stats registry) or an unbounded raw dump (metrics CSV, trace
- * ring).  This plane sits between them: stats selected by glob are
- * sampled at the metrics cadence into one bounded row ring covering
- * the whole run — at capacity every second row is dropped and the
- * keep-stride doubles (the profiler's queue-timeline trick), so
- * memory is O(capacity) regardless of run length while the series
+ * (the stats registry) or a raw dump (metrics CSV, trace ring).  This
+ * plane sits between them: stats selected by glob are sampled at the
+ * metrics cadence into one DecimatingRing covering the whole run (at
+ * capacity every second row is dropped and the keep-stride doubles),
+ * so memory is O(capacity) regardless of run length while the series
  * still spans start to finish.  Derived views (rates from counters,
  * EWMA, windowed min/max) are computed at dump time from the stored
  * rows, never during the run.
  *
- * Digest neutrality is by construction, one step stronger than the
- * MetricsSampler: sampling happens from the event loop's pre-service
- * hook, so the plane schedules no events, consumes no randomness and
- * contributes nothing to any stateDigest() — an armed run's digest
- * stream is bit-identical to a bare one.
+ * Digest neutrality is by construction, as for the metrics CSV:
+ * sampling happens from the event loop's pre-service hook, so the
+ * plane schedules no events, consumes no randomness and contributes
+ * nothing to any stateDigest() -- an armed run's digest stream is
+ * bit-identical to a bare one.
  *
  * The steady-state detector answers "has this run left the boot
  * transient yet?": every steadyEvery-th sample it pushes each tracked
@@ -34,8 +33,7 @@
  * Snapshot-safe: rows, decimation state and detector windows
  * serialize into the "timeseries" checkpoint section, so a restored
  * run's series.json is byte-identical to an uninterrupted run's —
- * no duplicated, missing or rewound rows (the in-memory analog of
- * MetricsSampler's resume() protocol).
+ * no duplicated, missing or rewound rows.
  */
 
 #ifndef VIP_OBS_TIMESERIES_HH
@@ -48,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/decimating_ring.hh"
 #include "obs/stat_registry.hh"
 #include "obs/ts_config.hh"
 #include "sim/types.hh"
@@ -72,7 +71,7 @@ class TimeSeries
      * least one; an empty selection is a configuration error) and
      * resolve the detector's tracked set from cfg.steadyStats.
      * @p intervalMs is the sampling cadence in simulated ms (the
-     * MetricsSampler cadence, armed or not).
+     * metrics cadence, armed or not).
      */
     TimeSeries(const TsConfig &cfg, double intervalMs,
                const StatRegistry &reg);
@@ -110,7 +109,7 @@ class TimeSeries
     std::size_t selected() const { return _sel.size(); }
     std::size_t rows() const { return _rows.size(); }
     std::uint64_t samplesSeen() const { return _samples; }
-    std::uint64_t stride() const { return _stride; }
+    std::uint64_t stride() const { return _rows.stride(); }
     const std::vector<std::string> &trackedPaths() const
     {
         return _trackedPaths;
@@ -176,10 +175,8 @@ class TimeSeries
     Tick _nextBoundary;
 
     std::vector<Sel> _sel;
-    std::vector<Row> _rows;
+    DecimatingRing<Row> _rows{kRowCap};
     std::uint64_t _samples = 0; ///< boundaries sampled (pre-decimation)
-    std::uint64_t _stride = 1;  ///< keep every _stride-th sample
-    std::uint64_t _skip = 0;    ///< samples to drop before next keep
 
     std::vector<Track> _tracks;
     std::vector<std::string> _trackedPaths;

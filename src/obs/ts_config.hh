@@ -19,16 +19,16 @@ namespace vip
 
 /**
  * Arms the windowed time-series plane (--ts[=<glob>]): stats matching
- * @ref glob are sampled from the StatRegistry at the MetricsSampler
- * cadence (cfg.metrics.intervalMs, whether or not a metrics CSV is
- * armed) into bounded per-stat ring buffers with stride-doubling
- * decimation, and a steady-state detector runs a sliding-window
+ * @ref glob are sampled from the StatRegistry at the metrics cadence
+ * (cfg.metrics.intervalMs, whether or not a metrics CSV is armed)
+ * into one bounded row ring with stride-doubling decimation
+ * (DecimatingRing), and a steady-state detector runs a sliding-window
  * relative-spread test over the @ref steadyStats series.
  *
  * Everything here is purely observational: the plane samples from the
- * event loop's pre-service hook (no scheduled events, no randomness,
- * nothing in any stateDigest()), so arming it leaves audit digest
- * streams bit-identical — and like --prof it is deliberately excluded
+ * event loop's pre-service hook, like the metrics CSV (no scheduled
+ * events, no randomness, nothing in any stateDigest()), so arming it
+ * leaves audit digest streams bit-identical — and like --prof it is deliberately excluded
  * from checkpoint *identity*; arming, however, must match across a
  * save/restore pair (the series rows resume from the snapshot).
  */

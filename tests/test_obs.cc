@@ -3,16 +3,20 @@
  * Tests for the execution-observability subsystem: tracer ring
  * semantics, trace JSON well-formedness and span nesting across all
  * configurations, same-seed trace determinism, histogram percentile
- * math, the periodic metrics sampler, frame lifecycles reconstructed
- * from spans alone, and the zero-perturbation guarantee (tracing on
- * vs off leaves the audit digest stream bit-identical).
+ * math, the periodic metrics CSV, frame lifecycles reconstructed
+ * from spans alone, and the zero-perturbation guarantee (tracing or a
+ * metrics CSV on vs off leaves the audit digest stream bit-identical).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/simulation.hh"
 #include "obs/trace_check.hh"
@@ -260,53 +264,95 @@ TEST(LatencySummaryTest, RunStatsCarriesPerStageBreakdowns)
     }
 }
 
+/** A metrics CSV path in the temp directory, unique to this test. */
+std::string
+tempCsv(const std::string &tag = "")
+{
+    return (std::filesystem::temp_directory_path() /
+            ("vip-metrics-" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             tag + ".csv"))
+        .string();
+}
+
+/** The data rows of a metrics CSV; @p headers counts tick_ms lines. */
+std::vector<std::string>
+csvRows(const std::string &path, std::size_t *headers = nullptr)
+{
+    std::ifstream in(path);
+    std::vector<std::string> rows;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("tick_ms", 0) == 0) {
+            if (headers)
+                ++*headers;
+        } else if (!line.empty() && line[0] != '#') {
+            rows.push_back(line);
+        }
+    }
+    return rows;
+}
+
 TEST(MetricsSamplerTest, RowCountMatchesInterval)
 {
+    const std::string csv = tempCsv();
     SocConfig cfg;
     cfg.system = SystemConfig::VIP;
     cfg.simSeconds = 0.02;
-    cfg.metrics.out = "(buffer)";
+    cfg.metrics.out = csv;
     cfg.metrics.intervalMs = 1.0;
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
     ASSERT_NE(sim.metrics(), nullptr);
-    // 20 ms of simulated time at a 1 ms interval: first sample fires
-    // one interval in, last at t=20ms.
+    // 20 ms of simulated time at a 1 ms interval: first sample one
+    // interval in, last at t=20ms.
     EXPECT_EQ(sim.metrics()->rows(), 20u);
     EXPECT_GT(sim.metrics()->probes(), 0u);
     EXPECT_EQ(sim.metrics()->interval(), fromMs(1.0));
 
-    std::ostringstream os;
-    sim.metrics()->writeCsv(os);
-    std::string csv = os.str();
-    // Provenance header plus one line per row plus the column header.
-    std::size_t lines = 0;
-    for (char c : csv)
-        lines += c == '\n';
-    EXPECT_GE(lines, sim.metrics()->rows() + 1);
-    EXPECT_NE(csv.find("tick_ms"), std::string::npos);
+    std::size_t headers = 0;
+    std::vector<std::string> rows = csvRows(csv, &headers);
+    EXPECT_EQ(headers, 1u);
+    ASSERT_EQ(rows.size(), 20u);
+    EXPECT_EQ(rows.front().rfind("1.000000,", 0), 0u);
+    EXPECT_EQ(rows.back().rfind("20.000000,", 0), 0u);
+    std::filesystem::remove(csv);
 }
 
 TEST(MetricsSamplerTest, HalfMillisecondIntervalDoublesRows)
 {
+    const std::string csv = tempCsv();
     SocConfig cfg;
     cfg.system = SystemConfig::VIP;
     cfg.simSeconds = 0.02;
-    cfg.metrics.out = "(buffer)";
+    cfg.metrics.out = csv;
     cfg.metrics.intervalMs = 0.5;
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
     ASSERT_NE(sim.metrics(), nullptr);
     EXPECT_EQ(sim.metrics()->rows(), 40u);
+    EXPECT_EQ(csvRows(csv).size(), 40u);
+    std::filesystem::remove(csv);
+}
+
+TEST(MetricsSamplerTest, UnwritablePathIsFatalAtStart)
+{
+    SocConfig cfg;
+    cfg.simSeconds = 0.02;
+    cfg.metrics.out = (std::filesystem::temp_directory_path() /
+                       "vip-no-such-dir" / "m.csv")
+                          .string();
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    EXPECT_THROW(sim.run(), SimFatal);
 }
 
 /**
- * The zero-perturbation guarantee: enabling the tracer must leave the
- * architectural state digests bit-identical, because it never
- * schedules events, consumes randomness, or contributes to any
- * component digest.  (The metrics sampler is excluded: it schedules
- * real sampling events, which is why it is only constructed when
- * --metrics-out is given.)
+ * The zero-perturbation guarantee: enabling the tracer or the metrics
+ * CSV must leave the architectural state digests bit-identical,
+ * because neither schedules events, consumes randomness, or
+ * contributes to any component digest.
  */
 TEST(TraceZeroPerturbation, DigestStreamIdenticalTracedVsUntraced)
 {
@@ -324,6 +370,37 @@ TEST(TraceZeroPerturbation, DigestStreamIdenticalTracedVsUntraced)
         return sim.auditor().streamDigest();
     };
     EXPECT_EQ(digests(false), digests(true));
+}
+
+TEST(TraceZeroPerturbation, MetricsCsvLeavesDigestsAndStatsUnchanged)
+{
+    // The metrics CSV samples from the pre-service hook, so even the
+    // kernel's own counters (sim.events_serviced, sim.eventq.live)
+    // must match a bare run's.
+    const std::string csv = tempCsv();
+    auto run = [&](bool metrics) {
+        SocConfig cfg;
+        cfg.system = SystemConfig::VIP;
+        cfg.simSeconds = 0.02;
+        cfg.audit.mode = AuditMode::Periodic;
+        cfg.audit.periodMs = 1.0;
+        if (metrics) {
+            cfg.metrics.out = csv;
+            cfg.metrics.intervalMs = 0.5;
+        }
+        Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+        sim.run();
+        std::ostringstream stats;
+        sim.writeStatsJson(stats);
+        return std::make_pair(sim.auditor().streamDigest(),
+                              stats.str());
+    };
+    auto bare = run(false);
+    auto armed = run(true);
+    EXPECT_EQ(csvRows(csv).size(), 40u);
+    EXPECT_EQ(bare.first, armed.first);
+    EXPECT_EQ(bare.second, armed.second);
+    std::filesystem::remove(csv);
 }
 
 } // namespace

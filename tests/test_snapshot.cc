@@ -171,6 +171,37 @@ TEST_F(SnapshotTest, RejectsVersionSkew)
     EXPECT_THROW(sim.run(), SimFatal);
 }
 
+TEST_F(SnapshotTest, RejectsVersionOneSnapshot)
+{
+    // Version 1 carried every metrics CSV row in the "metrics"
+    // section; such a file must be refused as version skew, not
+    // misparsed.
+    auto snap = path("a.vips");
+    {
+        Simulation sim(auditedCfg(SystemConfig::Baseline, 0.2),
+                       WorkloadCatalog::byIndex(4));
+        sim.checkpointAt(fromMs(100), snap);
+        sim.run();
+        ASSERT_EQ(sim.checkpointsWritten(), 1u);
+    }
+
+    // The format version is a little-endian u32 after the magic.
+    auto bytes = readFile(snap);
+    ASSERT_GT(bytes.size(), 8u);
+    bytes.replace(4, 4, std::string("\x01\x00\x00\x00", 4));
+    auto v1 = path("v1.vips");
+    std::ofstream(v1, std::ios::binary) << bytes;
+
+    try {
+        SnapshotReader::readMeta(v1);
+        FAIL() << "a version 1 snapshot was accepted";
+    } catch (const SimFatal &e) {
+        EXPECT_NE(std::string(e.what()).find("version skew"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(SnapshotTest, RejectsTruncatedFile)
 {
     auto snap = path("a.vips");

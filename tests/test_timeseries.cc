@@ -225,6 +225,27 @@ TEST(TimeSeriesPlane, SteadyDetectedOnAllConfigs)
     }
 }
 
+TEST_F(TimeSeriesSnapshotTest, MetricsCsvLeavesSteadyVerdictUnchanged)
+{
+    // The detector tracks sim.eventq.live.  A metrics CSV must not
+    // move the verdict: Baseline/W1 seed 1 latches at the same tick
+    // with and without one.
+    auto steadyMs = [](const std::string &csv) {
+        SocConfig cfg;
+        cfg.system = SystemConfig::Baseline;
+        cfg.seed = 1;
+        cfg.simSeconds = 0.2;
+        cfg.ts.armed = true;
+        cfg.metrics.out = csv;
+        Simulation sim(cfg, WorkloadCatalog::byIndex(1));
+        sim.run();
+        return sim.timeseries()->steadyTickMs();
+    };
+    const double bare = steadyMs("");
+    EXPECT_GT(bare, 0.0);
+    EXPECT_EQ(steadyMs(path("m.csv")), bare);
+}
+
 TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
 {
     // The warm-start contract end to end: --checkpoint-on-steady

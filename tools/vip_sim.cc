@@ -358,17 +358,7 @@ traceJson(vip::Simulation &sim, const vip::SocConfig &cfg,
                         sim.tracer()->dropped()));
     }
     if (cfg.metrics.enabled()) {
-        // Rows were streamed (and flushed) as they were sampled;
-        // rewrite only if the incremental stream could not be opened.
-        if (!sim.metrics()->streaming()) {
-            std::ofstream out(cfg.metrics.out);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             cfg.metrics.out.c_str());
-                return false;
-            }
-            sim.metrics()->writeCsv(out);
-        }
+        // Rows were streamed (and flushed) as they were sampled.
         std::printf("metrics written to %s (%zu rows, %zu probes)\n",
                     cfg.metrics.out.c_str(), sim.metrics()->rows(),
                     sim.metrics()->probes());
