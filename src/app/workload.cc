@@ -100,7 +100,9 @@ Workload
 WorkloadCatalog::single(int app_index)
 {
     Workload w;
-    w.name = "A" + std::to_string(app_index);
+    // Built in place: GCC 12's -Wrestrict misfires on "A" + string.
+    w.name = std::to_string(app_index);
+    w.name.insert(w.name.begin(), 'A');
     w.apps = {AppCatalog::byIndex(app_index)};
     w.useCase = "single application " + w.apps[0].name;
     return w;

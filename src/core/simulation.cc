@@ -636,8 +636,11 @@ Simulation::run()
         if (_cfg.audit.enabled())
             _auditor.runAudit(_sys.curTick());
         // Final snapshot: only valid at a quiescent point.  A run
-        // that ends mid-frame still has its cadence checkpoints.
-        if (!_cfg.checkpointOut.empty()) {
+        // that ends mid-frame still has its cadence checkpoints.  An
+        // interrupted run keeps the snapshot it took where it
+        // stopped; one taken here would include the final audit pass
+        // and resume with one pass too many.
+        if (!_cfg.checkpointOut.empty() && !_interrupted) {
             if (quiescent())
                 saveCheckpoint(_cfg.checkpointOut);
             else if (_checkpointsWritten == 0)

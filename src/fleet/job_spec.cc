@@ -253,8 +253,12 @@ JobSpec::parse(const std::string &text)
                     job.seed = s;
                     job.faultPlan = (f == "none") ? "" : f;
                     job.id = c + "-" + w + "-s" + std::to_string(s);
-                    if (!job.faultPlan.empty())
-                        job.id += "-" + sanitizeForId(job.faultPlan);
+                    // Appended in place: GCC 12's -Wrestrict
+                    // misfires on "-" + string.
+                    if (!job.faultPlan.empty()) {
+                        job.id += '-';
+                        job.id += sanitizeForId(job.faultPlan);
+                    }
                     if (!ids.insert(job.id).second)
                         fatal("job spec: duplicate job id '", job.id,
                               "' -- a sweep axis repeats a value");

@@ -215,13 +215,10 @@ TimeSeries::writeJson(
     w << "  \"ticks_ms\": ";
     w.array(ticks.data(), n) << ",\n";
 
-    // Derived series are computed here, from the stored (already
-    // decimated) rows — the run itself never pays for them.  One
-    // pass per series fills every derived array; the scratch vectors
-    // are reused from series to series.
-    constexpr std::size_t kWin = 8;    // windowed min/max span, rows
-    constexpr double kEwmaAlpha = 0.2; // EWMA smoothing factor
-    std::vector<double> vals(n), rate(n), ewma(n), wmin(n), wmax(n);
+    // Raw samples only: readers derive rates from values and
+    // ticks_ms.  "kind" says which series are counters (an
+    // exactly-compared stat, never decreasing, that moved).
+    std::vector<double> vals(n);
     w << "  \"series\": [\n";
     for (std::size_t si = 0; si < _sel.size(); ++si) {
         const Sel &s = _sel[si];
@@ -233,41 +230,12 @@ TimeSeries::writeJson(
             counter = vals[i] >= vals[i - 1];
         counter = counter && vals[n - 1] > vals[0];
 
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i == 0) {
-                rate[0] = 0.0;
-                ewma[0] = vals[0];
-            } else {
-                const double dtSec = (ticks[i] - ticks[i - 1]) * 1e-3;
-                rate[i] = dtSec > 0.0 ? (vals[i] - vals[i - 1]) / dtSec
-                                      : 0.0;
-                ewma[i] = kEwmaAlpha * vals[i] +
-                          (1.0 - kEwmaAlpha) * ewma[i - 1];
-            }
-            const std::size_t lo = i + 1 >= kWin ? i + 1 - kWin : 0;
-            double mn = vals[lo], mx = vals[lo];
-            for (std::size_t j = lo; j <= i; ++j) {
-                mn = std::min(mn, vals[j]);
-                mx = std::max(mx, vals[j]);
-            }
-            wmin[i] = mn;
-            wmax[i] = mx;
-        }
-
         w << "    {\"path\": ";
         w.str(s.path) << ", \"unit\": ";
         w.str(s.unit) << ", \"kind\": \""
                       << (counter ? "counter" : "gauge")
                       << "\",\n     \"values\": ";
-        w.array(vals.data(), n);
-        if (counter) {
-            w << ",\n     \"rate_per_s\": ";
-            w.array(rate.data(), n);
-        }
-        w << ",\n     \"ewma\": ";
-        w.array(ewma.data(), n) << ",\n     \"win_min\": ";
-        w.array(wmin.data(), n) << ",\n     \"win_max\": ";
-        w.array(wmax.data(), n)
+        w.array(vals.data(), n)
             << (si + 1 < _sel.size() ? "},\n" : "}\n");
     }
     w << "  ]\n}\n";

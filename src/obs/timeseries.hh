@@ -9,9 +9,9 @@
  * metrics cadence into one DecimatingRing covering the whole run (at
  * capacity every second row is dropped and the keep-stride doubles),
  * so memory is O(capacity) regardless of run length while the series
- * still spans start to finish.  Derived views (rates from counters,
- * EWMA, windowed min/max) are computed at dump time from the stored
- * rows, never during the run.
+ * still spans start to finish.  series.json holds the raw samples
+ * only; derived views (a counter's rate) are left to the reader,
+ * which computes them from "values" and "ticks_ms".
  *
  * Digest neutrality is by construction, as for the metrics CSV:
  * sampling happens from the event loop's pre-service hook, so the
@@ -24,11 +24,12 @@
  * series' value into a sliding window and declares steady at the
  * first step where every window's relative spread
  * ((max - min) / |mean|) is under the threshold — counters (Exact
- * tolerance, monotone over the window) are judged on their windowed
- * rate, which must also be positive, so an idle all-zero counter can
- * never vote steady.  The verdict latches; sim.steady.tick exports it
- * through stats and metrics, and --checkpoint-on-steady turns it into
- * the warm-start seed snapshot.
+ * tolerance, monotone over the window) are judged on their
+ * cumulative mean rate (value / elapsed time), which must also be
+ * positive, so an idle all-zero counter can never vote steady.  The
+ * verdict latches; sim.steady.tick exports it through stats and
+ * metrics, and --checkpoint-on-steady turns it into the warm-start
+ * seed snapshot.
  *
  * Snapshot-safe: rows, decimation state and detector windows
  * serialize into the "timeseries" checkpoint section, so a restored
@@ -61,7 +62,7 @@ class TimeSeries
 {
   public:
     /** Version stamped as "schemaVersion" into every series.json. */
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
 
     /** Row-ring capacity; at capacity the keep-stride doubles. */
     static constexpr std::size_t kRowCap = 512;
@@ -117,11 +118,12 @@ class TimeSeries
     /** @} */
 
     /**
-     * Write the self-describing series.json: schemaVersion, build
-     * provenance, run context (@p meta), the decimated tick axis,
-     * and per-stat raw values plus derived series (rate for
-     * counters, EWMA, windowed min/max).  Contains no wall-clock
-     * content, so two identical runs produce identical bytes.
+     * Write the self-describing series.json (vip-series v2):
+     * schemaVersion, build provenance, run context (@p meta), the
+     * decimated tick axis, and per stat its path, unit, kind
+     * ("counter" or "gauge") and raw values.  Contains no
+     * wall-clock content, so two identical runs produce identical
+     * bytes.
      */
     void writeJson(
         std::ostream &os,

@@ -213,10 +213,14 @@ print("partition: lease_expiries=%d reassigned=%s"
 EOF
 
 echo "== chaos: one host dies mid-sweep, the survivor finishes"
+# The death is keyed on the mortal host's own operation count, not on
+# wall time: each running job costs it a poll and a heartbeat op every
+# 10 ms, so op 10 always falls while it still holds work, however
+# fast or loaded the machine is.
 cat > "$WORK/die-hosts.json" <<'EOF'
 { "hosts": [
     { "name": "mortal", "transport": "process", "slots": 1,
-      "fault": "dieMs=350" },
+      "fault": "die@10" },
     { "name": "survivor", "transport": "process", "slots": 1 } ] }
 EOF
 "$VIP_FLEET" --spec "$WORK/spec.json" --out "$WORK/die" \

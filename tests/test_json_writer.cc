@@ -237,23 +237,13 @@ TEST(SeriesJsonWriter, ExactTextOfTicksAndSeries)
         "  \"series\": [\n"
         "    {\"path\": \"t.count\", \"unit\": \"events\", "
         "\"kind\": \"counter\",\n"
-        "     \"values\": [0,3,7,10],\n"
-        "     \"rate_per_s\": [0,3000,4000,3000],\n"
-        "     \"ewma\": [0,0.6,1.88,3.504],\n"
-        "     \"win_min\": [0,0,0,0],\n"
-        "     \"win_max\": [0,3,7,10]},\n"
+        "     \"values\": [0,3,7,10]},\n"
         "    {\"path\": \"t.frac\", \"unit\": \"ms\", "
         "\"kind\": \"gauge\",\n"
-        "     \"values\": [0.5,1.25,-2.75,1e-05],\n"
-        "     \"ewma\": [0.5,0.65,-0.03,-0.023998],\n"
-        "     \"win_min\": [0.5,0.5,-2.75,-2.75],\n"
-        "     \"win_max\": [0.5,1.25,1.25,1.25]},\n"
+        "     \"values\": [0.5,1.25,-2.75,1e-05]},\n"
         "    {\"path\": \"t.negz\", \"unit\": \"\", "
         "\"kind\": \"gauge\",\n"
-        "     \"values\": [-0,-0,-1,-0],\n"
-        "     \"ewma\": [-0,-0,-0.2,-0.16],\n"
-        "     \"win_min\": [-0,-0,-1,-1],\n"
-        "     \"win_max\": [-0,-0,-0,-0]}\n"
+        "     \"values\": [-0,-0,-1,-0]}\n"
         "  ]\n"
         "}\n");
     EXPECT_NE(doc.find("\"run\": {\"config\": \"hand\"},\n"

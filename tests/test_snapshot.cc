@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -354,6 +355,51 @@ TEST_F(SnapshotTest, MetricsCsvResumesWithoutDuplicateHeader)
     EXPECT_TRUE(sawResumeStamp);
     // Killed-at-checkpoint rows + resumed rows == uninterrupted rows.
     EXPECT_EQ(resRows, refRows);
+}
+
+TEST_F(SnapshotTest, InterruptedRunKeepsItsInterruptCheckpoint)
+{
+    // An interrupted run snapshots --checkpoint-out at its stopping
+    // point.  The end-of-run work after the loop (the final audit
+    // pass) must not overwrite that file: resuming from it has to
+    // finish exactly like the uninterrupted run.
+    auto wl = WorkloadCatalog::byIndex(4);
+    const SocConfig base = auditedCfg(SystemConfig::VIP);
+    Simulation ref(base, wl);
+    ref.run();
+    const RunOutput want = outputs(ref);
+
+    // Interrupt mid-run: resume a 270 ms snapshot with the flag
+    // already raised, as if SIGINT arrived there, so the run stops at
+    // its first quiescent point with a checkpoint plan armed.
+    const std::string mid = path("mid.vips"), out = path("out.vips");
+    {
+        Simulation writer(base, wl);
+        writer.checkpointAt(fromMs(270), mid);
+        writer.run();
+        ASSERT_EQ(writer.checkpointsWritten(), 1u);
+    }
+    std::atomic<int> sigint{2};
+    {
+        SocConfig cfg = base;
+        cfg.restorePath = mid;
+        cfg.checkpointOut = out;
+        cfg.checkpointEveryMs = 50.0;
+        cfg.interruptFlag = &sigint;
+        Simulation cut(cfg, wl);
+        cut.run();
+        ASSERT_TRUE(cut.interrupted());
+        EXPECT_EQ(cut.lastCheckpointPath(), out);
+        EXPECT_EQ(cut.checkpointsWritten(), 1u);
+    }
+
+    SocConfig cfg = base;
+    cfg.restorePath = out;
+    Simulation resumed(cfg, wl);
+    resumed.run();
+    const RunOutput got = outputs(resumed);
+    EXPECT_EQ(got.streamDigest, want.streamDigest);
+    EXPECT_EQ(got.statsJson, want.statsJson);
 }
 
 } // namespace

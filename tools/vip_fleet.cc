@@ -22,7 +22,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "fleet/supervisor.hh"
@@ -75,9 +74,6 @@ usage()
         "                       startup grace before the liveness\n"
         "                       watchdog may declare a worker hung\n"
         "                       (overrides the spec policy)\n"
-        "  --status             one-shot: print <out>/fleet-status\n"
-        "                       .json (the rolling snapshot a running\n"
-        "                       sweep maintains) and exit\n"
         "  --status-interval-ms <ms>\n"
         "                       rolling fleet-status.json rewrite\n"
         "                       cadence (default 500; <= 0 disables\n"
@@ -105,7 +101,6 @@ main(int argc, char **argv)
     int workersOverride = 0;
     int attemptsOverride = 0;
     bool printJobs = false;
-    bool statusOnly = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -174,8 +169,6 @@ main(int argc, char **argv)
                     !(opt.heartbeatGraceMsOverride >= 0.0))
                     vip::fatal("--heartbeat-grace-ms: bad value '",
                                ms, "'");
-            } else if (arg == "--status") {
-                statusOnly = true;
             } else if (arg == "--status-interval-ms") {
                 char *end = nullptr;
                 const std::string ms = next();
@@ -196,24 +189,6 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-        }
-        if (statusOnly) {
-            // One-shot observer: no spec needed, just the out tree.
-            if (opt.outDir.empty())
-                vip::fatal("--status needs --out <dir>");
-            const std::string path =
-                opt.outDir + "/fleet-status.json";
-            std::FILE *f = std::fopen(path.c_str(), "rb");
-            if (!f)
-                vip::fatal("no status snapshot at ", path,
-                           " (sweep not started, or "
-                           "--status-interval-ms <= 0)");
-            char buf[4096];
-            std::size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                std::fwrite(buf, 1, n, stdout);
-            std::fclose(f);
-            return 0;
         }
         if (specPath.empty())
             vip::fatal("--spec is required");

@@ -120,9 +120,8 @@ usage()
         "                               and run the steady-state\n"
         "                               detector (default glob *);\n"
         "                               digest-neutral\n"
-        "  --ts-out <file>              write the sampled series plus\n"
-        "                               derived rates/EWMA/min/max as\n"
-        "                               self-describing JSON (the\n"
+        "  --ts-out <file>              write the raw sampled series\n"
+        "                               as self-describing JSON (the\n"
         "                               format vip_top renders);\n"
         "                               implies --ts\n"
         "  --checkpoint-on-steady[=<f>] write a one-shot snapshot at\n"

@@ -243,28 +243,43 @@ renderSeries(const std::string &file, std::size_t chartRows)
     }
 
     // Chart the detector-tracked series (the run's vital signs);
-    // counters chart their derived rate, gauges their raw value.
+    // counters chart their rate per second between rows, gauges
+    // their raw value.
     const vip::json::JsonValue *series = doc.find("series");
     if (!series)
         return;
+    std::vector<double> ticks;
+    if (const vip::json::JsonValue *t = doc.find("ticks_ms"))
+        for (const vip::json::JsonValue &x : t->arr)
+            ticks.push_back(x.num);
     for (const vip::json::JsonValue &s : series->arr) {
         const std::string path = vip::json::strField(s, "path");
         if (!tracked.empty() &&
             std::find(tracked.begin(), tracked.end(), path) ==
                 tracked.end())
             continue;
-        const vip::json::JsonValue *vals = s.find("rate_per_s");
-        const char *what = "rate/s";
-        if (!vals) {
-            vals = s.find("values");
-            what = "value";
-        }
+        const vip::json::JsonValue *vals = s.find("values");
         if (!vals || vals->arr.empty())
             continue;
         std::vector<double> v;
         v.reserve(vals->arr.size());
         for (const vip::json::JsonValue &x : vals->arr)
             v.push_back(x.num);
+        const bool counter =
+            vip::json::strField(s, "kind") == "counter";
+        const char *what = counter ? "rate/s" : "value";
+        if (counter) {
+            if (ticks.size() != v.size())
+                vip::fatal(file, ": series '", path, "' has ",
+                           v.size(), " values for ", ticks.size(),
+                           " ticks");
+            // Walk backwards so each step still sees raw v[i-1].
+            for (std::size_t i = v.size() - 1; i > 0; --i) {
+                const double dtSec = (ticks[i] - ticks[i - 1]) * 1e-3;
+                v[i] = dtSec > 0.0 ? (v[i] - v[i - 1]) / dtSec : 0.0;
+            }
+            v[0] = 0.0;
+        }
         double lo = v[0], hi = v[0];
         for (double x : v) {
             lo = std::min(lo, x);
