@@ -692,12 +692,6 @@ Simulation::runEventLoop(Tick limit)
                    ? _cfg.interruptFlag->load(std::memory_order_relaxed)
                    : 0;
     };
-    if (_plans.empty() && !probe && !_cfg.interruptFlag && !_ts &&
-        !_metrics) {
-        _sys.run(limit);
-        return;
-    }
-
     std::uint64_t points = 0, quiet = 0;
     Tick lastQuiet = start, maxGap = 0;
     auto hook = [&](Tick next) {

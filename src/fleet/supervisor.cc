@@ -14,6 +14,7 @@
 #include <thread>
 #include <utility>
 
+#include "fleet/backoff.hh"
 #include "fleet/transport/faulty_transport.hh"
 #include "obs/json.hh"
 #include "obs/json_writer.hh"
@@ -129,6 +130,11 @@ struct FleetSupervisor::HostRuntime
     HostHealth health;
     FaultyTransport *faulty = nullptr; ///< non-owning, when wrapped
     std::size_t jobsDone = 0;
+    /** Launches failed in a row; each holds the host off for the
+     *  backoff delay of the streak, so a dead host below its
+     *  quarantine threshold is not re-tried on every poll. */
+    int launchFailures = 0;
+    double launchHoldUntilMs = 0.0;
 
     HostRuntime(HostSpec s, std::unique_ptr<WorkerTransport> t,
                 HealthPolicy hp)
@@ -335,11 +341,15 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
             .str("host", h.spec.name)
             .str("error", err);
         _sched.releaseClaim(jobIdx);
+        ++h.launchFailures;
+        h.launchHoldUntilMs =
+            nowMs + backoffDelayMs(_spec.fleet, h.launchFailures);
         hostOpFailure(slot.hostIdx, nowMs,
                       "launch " + p.job.id + ": " + err);
         return;
     }
     h.health.onOpSuccess();
+    h.launchFailures = 0;
 
     const std::size_t hostIdx = slot.hostIdx;
     slot = Slot{};
@@ -945,7 +955,8 @@ FleetSupervisor::run()
 
         if (!interrupted && _fatal.empty()) {
             for (Slot &slot : _slots) {
-                if (slot.active || !hostUsable(slot.hostIdx))
+                if (slot.active || !hostUsable(slot.hostIdx) ||
+                    now < _hosts[slot.hostIdx].launchHoldUntilMs)
                     continue;
                 const std::size_t idx = _sched.claimNext(
                     now, _hosts[slot.hostIdx].spec.name);

@@ -79,6 +79,7 @@ IpCore::IpCore(System &system, std::string name, const IpParams &params,
       _energy(ledger.account("ip", this->name())),
       _bufferEnergy(ledger.account("buffer", this->name())),
       _faults(faults),
+      _laneSram(SramModel::forCapacity(params.laneBytes)),
       _lanes(params.numLanes),
       _stats(this->name()),
       _statJobs(_stats, "jobs", "stage jobs completed"),
@@ -102,11 +103,15 @@ IpCore::IpCore(System &system, std::string name, const IpParams &params,
 }
 
 Tick
-IpCore::computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes) const
+IpCore::computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes)
 {
     std::uint64_t work = std::max<std::uint64_t>(
         {in_bytes, out_bytes, 1});
-    return streamTime(work, _p.bytesPerCycle);
+    if (work != _ctWork) {
+        _ctWork = work;
+        _ctTime = streamTime(work, _p.bytesPerCycle);
+    }
+    return _ctTime;
 }
 
 // --------------------------------------------------------------------
@@ -146,12 +151,11 @@ IpCore::outputBlocked(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.unitIn(f.unitsDone))
+    if (l.inAvail < f.in.cur())
         return false;
     if (l.sink || !l.next || _p.overflowToMemory)
         return false;
-    return l.outAccum + l.outQueueBytes + f.unitOut(f.unitsDone) >
-           _p.laneBytes;
+    return l.outAccum + l.outQueueBytes + f.out.cur() > _p.laneBytes;
 }
 
 bool
@@ -569,6 +573,9 @@ IpCore::tryStartJob()
     std::uint64_t span =
         std::max<std::uint64_t>({_job.inputBytes, _job.outputBytes, 1});
     _unitsTotal = ceilDiv(span, _p.dmaChunkBytes);
+    _jobInUnit = ceilDiv(_job.inputBytes, _unitsTotal);
+    _jobOutUnit = ceilDiv(_job.outputBytes, _unitsTotal);
+    _jobUnitTime = computeTime(_jobInUnit, _jobOutUnit);
     _unitsIssued = 0;
     _unitsReady = 0;
     _unitsComputed = 0;
@@ -589,8 +596,7 @@ IpCore::issueJobReads()
 {
     if (!_jobActive || !_job.readsMemory || _job.inputBytes == 0)
         return;
-    std::uint64_t in_unit =
-        std::max<std::uint64_t>(1, ceilDiv(_job.inputBytes, _unitsTotal));
+    std::uint64_t in_unit = std::max<std::uint64_t>(1, _jobInUnit);
     while (_unitsIssued < _unitsTotal &&
            _readsOutstanding < _p.maxOutstandingDma) {
         std::uint64_t k = _unitsIssued++;
@@ -618,12 +624,9 @@ IpCore::tryComputeJobUnit()
         return;
     }
     --_unitsReady;
-    std::uint64_t in_unit = ceilDiv(_job.inputBytes, _unitsTotal);
-    std::uint64_t out_unit = ceilDiv(_job.outputBytes, _unitsTotal);
     if (!_jobFaulted)
-        _obsJobComputeAccum += computeTime(in_unit, out_unit);
-    startUnit(/*stream=*/false, /*lane=*/-1,
-              computeTime(in_unit, out_unit), _jobFaulted);
+        _obsJobComputeAccum += _jobUnitTime;
+    startUnit(/*stream=*/false, /*lane=*/-1, _jobUnitTime, _jobFaulted);
     updateEngineState();
 }
 
@@ -633,15 +636,13 @@ IpCore::onJobUnitComputed()
     vip_assert(_jobActive && _computing, "spurious job unit completion");
     _computing = false;
     std::uint64_t k = _unitsComputed++;
-    std::uint64_t out_unit = ceilDiv(_job.outputBytes, _unitsTotal);
-    _bytesProcessed += std::max(ceilDiv(_job.inputBytes, _unitsTotal),
-                                out_unit);
+    _bytesProcessed += std::max(_jobInUnit, _jobOutUnit);
 
     if (_job.writesMemory && _job.outputBytes > 0) {
         MemRequest req;
-        req.addr = _job.outputAddr + k * out_unit;
+        req.addr = _job.outputAddr + k * _jobOutUnit;
         req.bytes = static_cast<std::uint32_t>(
-            std::max<std::uint64_t>(1, out_unit));
+            std::max<std::uint64_t>(1, _jobOutUnit));
         req.write = true;
         req.requesterId = static_cast<std::uint32_t>(_p.kind);
         req.onComplete = [this] {
@@ -781,11 +782,11 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
 
     StreamFrame f;
     f.frameId = frame_id;
-    f.inBytes = in_bytes;
-    f.outBytes = out_bytes;
     f.deadline = deadline;
     f.txnEnd = txn_end;
     f.units = ceilDiv(std::max(in_bytes, out_bytes), _p.subframeBytes);
+    f.in = UnitSplit(in_bytes, f.units);
+    f.out = UnitSplit(out_bytes, f.units);
     f.obsAnnounce = curTick();
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Frame)) {
@@ -797,7 +798,6 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
     }
     l.frames.push_back(f);
     kickStream();
-    updateEngineState();
 }
 
 std::size_t
@@ -852,10 +852,8 @@ IpCore::deliverBytes(int lane, std::uint32_t bytes)
     if (l.inAvail == 0)
         l.headArrival = curTick();
     l.inAvail += bytes;
-    _bufferEnergy.addDynamicNj(
-        SramModel::writeEnergyNj(_p.laneBytes, bytes));
+    _bufferEnergy.addDynamicNj(_laneSram.writeNj(bytes));
     kickStream();
-    updateEngineState();
 }
 
 void
@@ -968,7 +966,7 @@ IpCore::onFeedChunkReady(int lane, std::uint64_t offset,
     Lane &l = _lanes[lane];
     vip_assert(!l.feeds.empty(), "feed chunk for retired feed on ",
                name());
-    l.feeds.front().ready.emplace(offset, bytes);
+    l.ready.push_back({offset, bytes});
     deliverInOrder(lane);
 }
 
@@ -980,11 +978,12 @@ IpCore::deliverInOrder(int lane)
     bool retired = false;
     while (!l.feeds.empty()) {
         Feed &f = l.feeds.front();
-        auto it = f.ready.begin();
-        if (it == f.ready.end() || it->first != f.delivered)
+        std::size_t i = 0;
+        while (i < l.ready.size() && l.ready[i].first != f.delivered)
+            ++i;
+        if (i == l.ready.size())
             break;
-        std::uint32_t sz = it->second;
-        f.ready.erase(it);
+        std::uint32_t sz = l.ready.take(i).second;
         bool first = f.delivered == 0;
         f.delivered += sz;
         bool last = f.delivered >= f.total;
@@ -995,22 +994,19 @@ IpCore::deliverInOrder(int lane)
         if (l.inAvail == 0)
             l.headArrival = curTick();
         l.inAvail += sz;
-        _bufferEnergy.addDynamicNj(
-            SramModel::writeEnergyNj(_p.laneBytes, sz));
+        _bufferEnergy.addDynamicNj(_laneSram.writeNj(sz));
         deliveredAny = true;
 
         if (last) {
-            vip_assert(f.ready.empty(), "stray chunks past frame end");
+            vip_assert(l.ready.empty(), "stray chunks past frame end");
             l.feeds.pop_front();
             retired = true;
         }
     }
     if (deliveredAny || retired)
         pumpFeeds(lane);
-    if (deliveredAny) {
+    if (deliveredAny)
         kickStream();
-        updateEngineState();
-    }
 }
 
 // --------------------------------------------------------------------
@@ -1025,14 +1021,14 @@ IpCore::laneRunnable(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.unitIn(f.unitsDone))
+    if (l.inAvail < f.in.cur())
         return false;
     // Output must fit the lane's output buffer (sinks produce none).
     // With the overflow-to-memory option the output buffer drains to
     // DRAM instead, so it never gates the engine.
     if (!l.sink && l.next && !_p.overflowToMemory) {
         std::uint64_t pendingOut =
-            l.outAccum + l.outQueueBytes + f.unitOut(f.unitsDone);
+            l.outAccum + l.outQueueBytes + f.out.cur();
         if (pendingOut > _p.laneBytes)
             return false;
     }
@@ -1089,25 +1085,24 @@ IpCore::pickLane() const
 void
 IpCore::kickStream()
 {
-    if (_computing || _jobActive)
-        return;
-    int lane;
-    if (_stickyLane >= 0) {
-        // Single-context IP committed to a transaction: it may only
+    if (!_computing && !_jobActive) {
+        // A single-context IP committed to a transaction may only
         // continue that lane; while the lane is not runnable the
         // engine waits, blocking other flows (Fig 7).
-        if (!laneRunnable(_lanes[_stickyLane])) {
-            updateEngineState();
-            return;
-        }
-        lane = _stickyLane;
-    } else {
-        lane = pickLane();
+        int lane;
+        if (_stickyLane < 0)
+            lane = pickLane();
+        else
+            lane = laneRunnable(_lanes[_stickyLane]) ? _stickyLane : -1;
+        if (lane >= 0)
+            startStreamUnit(lane);
     }
-    if (lane < 0) {
-        updateEngineState();
-        return;
-    }
+    updateEngineState();
+}
+
+void
+IpCore::startStreamUnit(int lane)
+{
     Lane &l = _lanes[lane];
     StreamFrame &f = l.frames.front();
 
@@ -1123,8 +1118,7 @@ IpCore::kickStream()
     if (_p.switchGranularity != SwitchGranularity::Subframe)
         _stickyLane = lane;
 
-    std::uint64_t uIn = f.unitIn(f.unitsDone);
-    std::uint64_t uOut = f.unitOut(f.unitsDone);
+    std::uint64_t uIn = f.in.cur();
 
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Sched)) {
@@ -1140,21 +1134,18 @@ IpCore::kickStream()
     }
     if (f.unitsDone == 0 && f.obsFirstStart == 0)
         f.obsFirstStart = curTick();
+    Tick time = computeTime(uIn, f.out.cur());
     if (!f.faulted)
-        f.obsComputeAccum += computeTime(uIn, uOut);
+        f.obsComputeAccum += time;
 
     if (uIn > 0) {
-        _bufferEnergy.addDynamicNj(
-            SramModel::readEnergyNj(_p.laneBytes, uIn));
+        _bufferEnergy.addDynamicNj(_laneSram.readNj(uIn));
         consumeInput(lane, uIn);
     }
     _unitInBytes = uIn;
 
     startUnit(/*stream=*/true, lane,
-              computeTime(uIn, uOut) +
-                  (cs ? _p.contextSwitchPenalty : 0),
-              f.faulted);
-    updateEngineState();
+              time + (cs ? _p.contextSwitchPenalty : 0), f.faulted);
 }
 
 void
@@ -1169,10 +1160,12 @@ IpCore::onUnitComputed(int lane)
     vip_assert(!l.frames.empty(), "unit completed on empty lane");
     StreamFrame &f = l.frames.front();
 
-    std::uint64_t uIn = f.unitIn(f.unitsDone);
-    std::uint64_t uOut = f.unitOut(f.unitsDone);
+    std::uint64_t uIn = f.in.cur();
+    std::uint64_t uOut = f.out.cur();
     _bytesProcessed += std::max(uIn, uOut);
     ++f.unitsDone;
+    f.in.next();
+    f.out.next();
     bool frameDone = f.unitsDone >= f.units;
 
     if (!l.sink && l.next) {
@@ -1233,22 +1226,20 @@ IpCore::onUnitComputed(int lane)
                 onExit(flow, frame_id);
             // The lane (and this reference) may be gone now.
             kickStream();
-            updateEngineState();
             return;
         }
     }
 
     pushOutput(lane);
     kickStream();
-    updateEngineState();
 }
 
-void
+bool
 IpCore::pushOutput(int lane)
 {
     Lane &l = _lanes[lane];
     if (!l.next)
-        return;
+        return false;
     bool pushed = false;
     while (!l.outQueue.empty()) {
         std::uint32_t sz = l.outQueue.front();
@@ -1270,15 +1261,13 @@ IpCore::pushOutput(int lane)
             next->setCreditWaiter(nl, [this, lane] {
                 pushOutput(lane);
                 kickStream();
-                updateEngineState();
             });
             break;
         }
         l.next->reserveLaneSpace(l.nextLane, sz);
         l.outQueue.pop_front();
         l.outQueueBytes -= sz;
-        _bufferEnergy.addDynamicNj(
-            SramModel::readEnergyNj(_p.laneBytes, sz));
+        _bufferEnergy.addDynamicNj(_laneSram.readNj(sz));
         IpCore *next = l.next;
         int nl = l.nextLane;
         _sa.peerTransfer(sz, [next, nl, sz] {
@@ -1286,10 +1275,7 @@ IpCore::pushOutput(int lane)
         });
         pushed = true;
     }
-    if (pushed) {
-        kickStream();
-        updateEngineState();
-    }
+    return pushed;
 }
 
 void
@@ -1361,7 +1347,8 @@ IpCore::pumpSpills(int lane)
         ll.refillInFlight = false;
         next->deliverBytes(nl, bytes);
         pumpSpills(lane);
-        pushOutput(lane);
+        if (pushOutput(lane))
+            kickStream();
     };
     _sa.memoryAccess(std::move(req));
 }
@@ -1387,14 +1374,15 @@ IpCore::auditInvariants(AuditContext &ctx) const
         ctx.checkLe("ip.inavail_le_occupancy", l.inAvail, l.occupancy,
                     lane);
         std::uint64_t outq = 0;
-        for (std::uint32_t c : l.outQueue)
-            outq += c;
+        for (std::size_t k = 0; k < l.outQueue.size(); ++k)
+            outq += l.outQueue[k];
         ctx.checkEq("ip.outqueue_bytes", outq, l.outQueueBytes, lane);
         std::uint64_t spillq = 0;
         for (const Lane::Spill &sp : l.spillQueue)
             spillq += sp.bytes;
         ctx.checkLe("ip.spill_bytes", spillq, l.spillBytes, lane);
-        for (const StreamFrame &f : l.frames) {
+        for (std::size_t k = 0; k < l.frames.size(); ++k) {
+            const StreamFrame &f = l.frames[k];
             ctx.checkLe("ip.units_done", f.unitsDone, f.units,
                         lane + " frame " + std::to_string(f.frameId));
         }
@@ -1452,7 +1440,8 @@ IpCore::stateDigest(StateDigest &d) const
         d.add(l.outAccum);
         d.add(l.outQueueBytes);
         d.add(l.spillBytes);
-        for (const StreamFrame &f : l.frames) {
+        for (std::size_t k = 0; k < l.frames.size(); ++k) {
+            const StreamFrame &f = l.frames[k];
             d.add(f.frameId);
             d.add(f.unitsDone);
             d.add(f.faulted);

@@ -45,7 +45,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -56,6 +55,7 @@
 #include "power/sram_model.hh"
 #include "sa/system_agent.hh"
 #include "sim/clocked.hh"
+#include "sim/pool.hh"
 #include "stats/stats.hh"
 
 namespace vip
@@ -291,12 +291,14 @@ class IpCore : public ClockedObject
     struct StreamFrame
     {
         std::uint64_t frameId = 0;
-        std::uint64_t inBytes = 0;
-        std::uint64_t outBytes = 0;
         Tick deadline = MaxTick;
         bool txnEnd = true;
         std::uint64_t units = 1;
         std::uint64_t unitsDone = 0;
+        /** Input bytes the current unit consumes, output bytes it
+         *  produces; stepped as units complete. */
+        UnitSplit in;
+        UnitSplit out;
         /**
          * Retry budget exhausted on some unit: the payload is lost
          * and the remaining units drain as zero-cost passthrough.
@@ -311,20 +313,6 @@ class IpCore : public ClockedObject
         Tick obsFirstStart = 0;   ///< first unit entered compute
         Tick obsComputeAccum = 0; ///< nominal compute time consumed
         /** @} */
-
-        /** Input bytes unit @p u consumes (fractional distribution). */
-        std::uint64_t
-        unitIn(std::uint64_t u) const
-        {
-            return inBytes * (u + 1) / units - inBytes * u / units;
-        }
-
-        /** Output bytes unit @p u produces. */
-        std::uint64_t
-        unitOut(std::uint64_t u) const
-        {
-            return outBytes * (u + 1) / units - outBytes * u / units;
-        }
     };
 
     /** A head-of-chain input feed (DMA or sensor). */
@@ -335,8 +323,6 @@ class IpCore : public ClockedObject
         std::uint64_t total = 0;      ///< frame bytes at this stage
         std::uint64_t issued = 0;     ///< bytes issued to DMA/sensor
         std::uint64_t delivered = 0;  ///< bytes delivered, in order
-        /** Out-of-order DMA completions awaiting in-order delivery. */
-        std::map<std::uint64_t, std::uint32_t> ready;
         bool generate = false;
         Tick genInterval = 0;   ///< sensor pacing between chunks
         bool genArmed = false;  ///< a generation event is scheduled
@@ -351,18 +337,21 @@ class IpCore : public ClockedObject
         std::uint64_t occupancy = 0; ///< avail + reserved in-flight
         std::uint64_t inAvail = 0;   ///< bytes ready to consume
         Tick headArrival = MaxTick;  ///< FIFO scheduling key
-        std::deque<Feed> feeds;
+        Ring<Feed> feeds;
+        /** The front feed's chunks whose DMA completed out of order,
+         *  as (offset, bytes), awaiting in-order delivery. */
+        Ring<std::pair<std::uint64_t, std::uint32_t>> ready;
         std::uint32_t outstandingDma = 0;
         std::function<void()> creditWaiter;
         /** @} */
 
         /** @{ frame contexts, in order */
-        std::deque<StreamFrame> frames;
+        Ring<StreamFrame> frames;
         /** @} */
 
         /** @{ output side */
         std::uint64_t outAccum = 0;       ///< partial chunk
-        std::deque<std::uint32_t> outQueue;
+        Ring<std::uint32_t> outQueue;
         std::uint64_t outQueueBytes = 0;
         /** @} */
 
@@ -423,9 +412,15 @@ class IpCore : public ClockedObject
     void deliverInOrder(int lane);
     bool laneRunnable(const Lane &l) const;
     int pickLane() const;
+    /** Start the next runnable unit, if any, then update the engine
+     *  state once. */
     void kickStream();
+    /** Enter compute with @p lane's next unit (runnable, engine
+     *  free). */
+    void startStreamUnit(int lane);
     void onUnitComputed(int lane);
-    void pushOutput(int lane);
+    /** Forward queued output chunks; true when any left the lane. */
+    bool pushOutput(int lane);
     void spillChunk(int lane, std::uint32_t bytes);
     void pumpSpills(int lane);
     /**
@@ -467,14 +462,19 @@ class IpCore : public ClockedObject
     bool outputBlocked(const Lane &l) const;
     bool backpressured() const;
 
-    Tick computeTime(std::uint64_t in_bytes,
-                     std::uint64_t out_bytes) const;
+    /** Nominal compute time of a unit; memoised on its work size,
+     *  which consecutive units nearly always share. */
+    Tick computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes);
 
     IpParams _p;
     SystemAgent &_sa;
     EnergyAccount &_energy;
     EnergyAccount &_bufferEnergy;
     FaultInjector *_faults;
+    /** One lane buffer's access energies. */
+    SramModel::Estimate _laneSram;
+    std::uint64_t _ctWork = 0; ///< work size of the memoised time
+    Tick _ctTime = 0;
 
     // ---- unit-in-flight fault/watchdog state (either mode) ----
     bool _unitStream = false;     ///< stream vs job mode unit
@@ -499,6 +499,11 @@ class IpCore : public ClockedObject
     std::uint64_t _unitsComputed = 0;
     std::uint64_t _writesDone = 0;
     std::uint32_t _readsOutstanding = 0;
+    /** @{ the current job's per-unit bytes and compute time */
+    std::uint64_t _jobInUnit = 0;
+    std::uint64_t _jobOutUnit = 0;
+    Tick _jobUnitTime = 0;
+    /** @} */
     Tick _jobStartTick = 0;
     bool _computing = false;          ///< engine busy (either mode)
     std::function<void()> _queueDrainCb;

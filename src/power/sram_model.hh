@@ -31,18 +31,50 @@ class SramModel
         double writeEnergyNj; ///< dynamic energy per 64 B write
         double areaMm2;       ///< total macro area
         double leakageWatts;  ///< standby leakage
+
+        /** Energy (nJ) to read @p bytes from this buffer. */
+        double
+        readNj(std::uint64_t bytes) const
+        {
+            return readEnergyNj * accesses(bytes);
+        }
+
+        /** Energy (nJ) to write @p bytes into this buffer. */
+        double
+        writeNj(std::uint64_t bytes) const
+        {
+            return writeEnergyNj * accesses(bytes);
+        }
     };
 
     /** Estimate for a buffer of @p bytes capacity. */
     static Estimate forCapacity(std::uint64_t bytes);
 
     /** Energy (nJ) to read @p bytes from a buffer of @p capacity. */
-    static double readEnergyNj(std::uint64_t capacity,
-                               std::uint64_t bytes);
+    static double
+    readEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
+    {
+        return forCapacity(capacity).readNj(bytes);
+    }
 
     /** Energy (nJ) to write @p bytes into a buffer of @p capacity. */
-    static double writeEnergyNj(std::uint64_t capacity,
-                                std::uint64_t bytes);
+    static double
+    writeEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
+    {
+        return forCapacity(capacity).writeNj(bytes);
+    }
+
+  private:
+    /**
+     * 64-byte accesses that move @p bytes, at least one.  Integer
+     * rounding equals ceil(bytes / 64.0) for any count below 2^53.
+     */
+    static double
+    accesses(std::uint64_t bytes)
+    {
+        const std::uint64_t n = (bytes + 63) / 64;
+        return static_cast<double>(n > 0 ? n : 1);
+    }
 };
 
 } // namespace vip

@@ -44,8 +44,8 @@ SystemAgent::occupy(std::uint32_t bytes)
 }
 
 void
-SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
-                             std::uint32_t attempt)
+SystemAgent::transferAttempt(std::uint32_t bytes, std::uint32_t index,
+                             bool dma, std::uint32_t attempt)
 {
     if (attempt == 0) {
         _bytesAccepted += bytes;
@@ -72,8 +72,7 @@ SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
     }
     if (LatencyCollector *lc = system().latency())
         lc->recordSaTransfer(ob_end > ob_start ? ob_end - ob_start : 0);
-    schedule(delivered,
-             [this, bytes, done = std::move(done), attempt]() mutable {
+    schedule(delivered, [this, bytes, index, dma, attempt] {
         // CRC over the payload is checked at the receiving end; a bad
         // transfer is retransmitted (serializing on the link again)
         // until the retry budget runs out, after which the payload is
@@ -85,14 +84,17 @@ SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
             ++_xferRetries;
             ++_statXferRetries;
             _faults->noteTransferRetry();
-            transferAttempt(bytes, std::move(done), attempt + 1);
+            transferAttempt(bytes, index, dma, attempt + 1);
             return;
         }
         _bytesDelivered += bytes;
         vip_assert(_bytesInFlight >= bytes,
                    "SA byte ledger underflow on ", name());
         _bytesInFlight -= bytes;
-        done();
+        if (dma)
+            _mem.access(_dmaRequests.take(index));
+        else
+            _completions.take(index)();
     }, EventPriority::Default, "sa.transfer");
 }
 
@@ -101,9 +103,7 @@ SystemAgent::memoryAccess(MemRequest req)
 {
     ++_statMemXfers;
     const std::uint32_t bytes = req.bytes;
-    const std::uint32_t i = _dmaRequests.put(std::move(req));
-    transferAttempt(
-        bytes, [this, i] { _mem.access(_dmaRequests.take(i)); }, 0);
+    transferAttempt(bytes, _dmaRequests.put(std::move(req)), true, 0);
 }
 
 void
@@ -111,7 +111,8 @@ SystemAgent::peerTransfer(std::uint32_t bytes, Callback on_delivered)
 {
     ++_statPeerXfers;
     _peerBytes += bytes;
-    transferAttempt(bytes, std::move(on_delivered), 0);
+    transferAttempt(bytes, _completions.put(std::move(on_delivered)),
+                    false, 0);
 }
 
 void
@@ -119,10 +120,10 @@ SystemAgent::signal(Callback on_delivered)
 {
     ++_signals;
     ++_signalsInFlight;
-    scheduleIn(_cfg.signalLatency,
-               [this, cb = std::move(on_delivered)] {
+    const std::uint32_t i = _completions.put(std::move(on_delivered));
+    scheduleIn(_cfg.signalLatency, [this, i] {
         --_signalsInFlight;
-        cb();
+        _completions.take(i)();
     }, EventPriority::Default, "sa.signal");
 }
 

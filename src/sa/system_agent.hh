@@ -13,8 +13,6 @@
 #ifndef VIP_SA_SYSTEM_AGENT_HH
 #define VIP_SA_SYSTEM_AGENT_HH
 
-#include <functional>
-
 #include "fault/fault_injector.hh"
 #include "mem/memory_controller.hh"
 #include "power/energy_account.hh"
@@ -41,8 +39,6 @@ struct SaConfig
 class SystemAgent : public SimObject
 {
   public:
-    using Callback = std::function<void()>;
-
     SystemAgent(System &system, std::string name, const SaConfig &cfg,
                 MemoryController &mem, EnergyLedger &ledger,
                 FaultInjector *faults = nullptr);
@@ -131,10 +127,12 @@ class SystemAgent : public SimObject
      * Move @p bytes across the link, retransmitting (each attempt
      * re-serializes on the link and re-charges energy) while the
      * injector flags the payload's CRC bad, bounded by the plan's
-     * transfer retry budget; then invoke @p done.
+     * transfer retry budget; then complete it: hand the DMA request
+     * parked at @p index to the memory controller when @p dma, else
+     * run the completion parked at @p index.
      */
-    void transferAttempt(std::uint32_t bytes, Callback done,
-                         std::uint32_t attempt);
+    void transferAttempt(std::uint32_t bytes, std::uint32_t index,
+                         bool dma, std::uint32_t attempt);
 
     SaConfig _cfg;
     MemoryController &_mem;
@@ -152,9 +150,13 @@ class SystemAgent : public SimObject
     std::uint64_t _bytesDelivered = 0;
     std::uint64_t _bytesInFlight = 0;
     std::uint64_t _bytesRetransmitted = 0;
-    /** DMA requests crossing the link, parked by index so the
-     *  transfer's completion stays small enough not to allocate. */
+    /** @{ Work that waits on the link, parked by index so each
+     *  pending event's closure is a few trivially copied words: DMA
+     *  requests crossing it, and the completions of peer transfers
+     *  and signals. */
     IndexPool<MemRequest> _dmaRequests;
+    IndexPool<Callback> _completions;
+    /** @} */
 
     /** Signal deliveries scheduled but not yet fired (not digested —
      *  purely a quiescence gate; always 0 at a checkpoint). */

@@ -49,35 +49,6 @@ EventQueue::serviceOne()
     return true;
 }
 
-Tick
-EventQueue::runUntil(Tick limit)
-{
-    return runUntil(limit, PreServiceHook{});
-}
-
-Tick
-EventQueue::runUntil(Tick limit, const PreServiceHook &hook)
-{
-    while (!_heap.empty() && !_stopRequested) {
-        const Tick when = _heap.front().when;
-        if (when > limit)
-            break;
-        // The hook observes the queue between events (checkpointing):
-        // it must not schedule, cancel, or mutate simulated state.
-        if (hook)
-            hook(when);
-        if (_stopRequested)
-            break;
-        serviceOne();
-    }
-    // A stopped run keeps its true last-serviced tick: the caller is
-    // abandoning the remaining simulated time, not skipping it.
-    if (!_stopRequested && _curTick < limit && limit != MaxTick)
-        _curTick = limit;
-    _stopRequested = false;
-    return _curTick;
-}
-
 bool
 EventQueue::saveEvent(SnapshotWriter &w, EventId id) const
 {

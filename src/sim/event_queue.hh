@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/audit.hh"
@@ -72,9 +71,6 @@ class EventQueue : public Auditable
 {
   public:
     using Callback = vip::Callback;
-    /** Observer invoked before each serviced event (checkpointing);
-     *  receives the tick the next event will run at. */
-    using PreServiceHook = std::function<void(Tick)>;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -144,18 +140,38 @@ class EventQueue : public Auditable
     bool serviceOne();
 
     /**
-     * Run until the queue drains or simulated time reaches @p limit.
-     * Events scheduled exactly at @p limit do run.
+     * Run until the queue drains or simulated time reaches @p limit,
+     * calling @p hook with the tick of the next event before servicing
+     * it.  Events scheduled exactly at @p limit do run.  The hook is a
+     * template parameter, so a run without one pays nothing for it.
+     * It must be purely observational: checkpointing and sampling use
+     * it to look at the state between events, and it must not
+     * schedule, cancel or change simulated state.
      * @return the final current tick.
      */
-    Tick runUntil(Tick limit);
+    template <class Hook>
+    Tick
+    runUntil(Tick limit, Hook &&hook)
+    {
+        while (!_heap.empty() && !_stopRequested) {
+            const Tick when = _heap.front().when;
+            if (when > limit)
+                break;
+            hook(when);
+            if (_stopRequested)
+                break;
+            serviceOne();
+        }
+        // A stopped run keeps its true last-serviced tick: the caller
+        // is abandoning the remaining simulated time, not skipping it.
+        if (!_stopRequested && _curTick < limit && limit != MaxTick)
+            _curTick = limit;
+        _stopRequested = false;
+        return _curTick;
+    }
 
-    /**
-     * As runUntil(Tick), with @p hook called before every serviced
-     * event.  The hook must be purely observational — checkpointing
-     * uses it to detect quiescent points without perturbing the run.
-     */
-    Tick runUntil(Tick limit, const PreServiceHook &hook);
+    /** As runUntil(Tick, Hook) with no hook. */
+    Tick runUntil(Tick limit) { return runUntil(limit, [](Tick) {}); }
 
     /** Run until the queue drains completely. */
     Tick run() { return runUntil(MaxTick); }

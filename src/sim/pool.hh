@@ -9,7 +9,7 @@
  *    reach its record through `{this, index}` and stay inside
  *    Callback's inline buffer;
  *  - Ring<T>: a growable FIFO over one power-of-two array, replacing
- *    std::deque's node churn.
+ *    std::deque's node churn; iterate it by index.
  */
 
 #ifndef VIP_SIM_POOL_HH
@@ -73,6 +73,9 @@ class Ring
         return _buf[(_head + i) & _mask];
     }
 
+    T &front() { return (*this)[0]; }
+    const T &front() const { return (*this)[0]; }
+
     void
     push_back(T v)
     {
@@ -95,6 +98,8 @@ class Ring
         --_size;
         return v;
     }
+
+    void pop_front() { take(0); }
 
   private:
     void

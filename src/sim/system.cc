@@ -35,25 +35,22 @@ System::find(const std::string &name) const
     return it == _byName.end() ? nullptr : it->second;
 }
 
-Tick
-System::run(Tick limit)
+void
+System::startOnce()
 {
-    return run(limit, EventQueue::PreServiceHook{});
+    if (_started)
+        return;
+    _started = true;
+    // startup() may create new objects; iterate by index.
+    for (std::size_t i = 0; i < _objects.size(); ++i)
+        _objects[i]->startup();
 }
 
-Tick
-System::run(Tick limit, const EventQueue::PreServiceHook &hook)
+void
+System::finalizeAll()
 {
-    if (!_started) {
-        _started = true;
-        // startup() may create new objects; iterate by index.
-        for (std::size_t i = 0; i < _objects.size(); ++i)
-            _objects[i]->startup();
-    }
-    Tick t = _eventq.runUntil(limit, hook);
     for (std::size_t i = 0; i < _objects.size(); ++i)
         _objects[i]->finalize();
-    return t;
 }
 
 } // namespace vip

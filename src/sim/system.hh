@@ -12,6 +12,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -53,16 +54,26 @@ class System
     const std::vector<SimObject *> &objects() const { return _objects; }
 
     /**
-     * Run the simulation until @p limit (absolute tick).  Calls
-     * startup() on first use and finalize() on every object after the
-     * loop.  May be called repeatedly to extend a run; finalize() is
-     * re-applied each time so stats are always consistent.
+     * Run the simulation until @p limit (absolute tick), threading the
+     * pre-service @p hook into the event loop (see
+     * EventQueue::runUntil; used for checkpointing and sampling).
+     * Calls startup() on first use and finalize() on every object
+     * after the loop.  May be called repeatedly to extend a run;
+     * finalize() is re-applied each time so stats are always
+     * consistent.
      */
-    Tick run(Tick limit);
+    template <class Hook>
+    Tick
+    run(Tick limit, Hook &&hook)
+    {
+        startOnce();
+        Tick t = _eventq.runUntil(limit, std::forward<Hook>(hook));
+        finalizeAll();
+        return t;
+    }
 
-    /** As run(), threading a pre-service hook into the event loop
-     *  (see EventQueue::runUntil; used for checkpointing). */
-    Tick run(Tick limit, const EventQueue::PreServiceHook &hook);
+    /** As run(Tick, Hook) with no hook. */
+    Tick run(Tick limit) { return run(limit, [](Tick) {}); }
 
     /** True once run() was called at least once. */
     bool started() const { return _started; }
@@ -87,6 +98,10 @@ class System
     /** @} */
 
   private:
+    /** startup() every object on the first run() only. */
+    void startOnce();
+    void finalizeAll();
+
     EventQueue _eventq;
     Random _random;
     Tracer *_tracer = nullptr;

@@ -226,6 +226,28 @@ EOF
 "$VIP_FLEET" --spec "$WORK/spec.json" --out "$WORK/die" \
     --vip-sim "$VIP_SIM" --hosts "$WORK/die-hosts.json" --quiet
 gate "$WORK/die"
+python3 - "$WORK/die/journal.jsonl" <<'EOF'
+import json, sys
+recs = [json.loads(l) for l in open(sys.argv[1])]
+# A failed launch holds its host off for the backoff delay of its
+# launch-failure streak (backoff_base_ms 20, backoff_cap_ms 200), so
+# the dead host is not handed the same job again on every poll.
+streak, last = {}, {}
+for r in recs:
+    if r["type"] == "launch":
+        streak[r["host"]] = 0
+    elif r["type"] == "launch_fail":
+        h = r["host"]
+        k = streak.get(h, 0)
+        if k > 0:
+            hold = min(200.0, 20.0 * 2 ** (k - 1))
+            assert r["wall_ms"] >= last[h] + hold, \
+                ("launch retried inside its hold", h, k, r)
+        streak[h] = k + 1
+        last[h] = r["wall_ms"]
+fails = [r for r in recs if r["type"] == "launch_fail"]
+print("die: %d launch_fail records" % len(fails))
+EOF
 
 echo "== chaos: quarantine journal (dead host scored out at 2 strikes)"
 # Same mortal/survivor roster, but a hair-trigger quarantine_after so
