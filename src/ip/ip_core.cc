@@ -103,15 +103,11 @@ IpCore::IpCore(System &system, std::string name, const IpParams &params,
 }
 
 Tick
-IpCore::computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes)
+IpCore::computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes) const
 {
     std::uint64_t work = std::max<std::uint64_t>(
         {in_bytes, out_bytes, 1});
-    if (work != _ctWork) {
-        _ctWork = work;
-        _ctTime = streamTime(work, _p.bytesPerCycle);
-    }
-    return _ctTime;
+    return streamTime(work, _p.bytesPerCycle);
 }
 
 // --------------------------------------------------------------------
@@ -151,11 +147,11 @@ IpCore::outputBlocked(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.in.cur())
+    if (l.inAvail < f.curIn)
         return false;
     if (l.sink || !l.next || _p.overflowToMemory)
         return false;
-    return l.outAccum + l.outQueueBytes + f.out.cur() > _p.laneBytes;
+    return l.outAccum + l.outQueueBytes + f.curOut > _p.laneBytes;
 }
 
 bool
@@ -785,8 +781,9 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
     f.deadline = deadline;
     f.txnEnd = txn_end;
     f.units = ceilDiv(std::max(in_bytes, out_bytes), _p.subframeBytes);
-    f.in = UnitSplit(in_bytes, f.units);
-    f.out = UnitSplit(out_bytes, f.units);
+    f.inBytes = in_bytes;
+    f.outBytes = out_bytes;
+    f.splitUnit();
     f.obsAnnounce = curTick();
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Frame)) {
@@ -1021,14 +1018,14 @@ IpCore::laneRunnable(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.in.cur())
+    if (l.inAvail < f.curIn)
         return false;
     // Output must fit the lane's output buffer (sinks produce none).
     // With the overflow-to-memory option the output buffer drains to
     // DRAM instead, so it never gates the engine.
     if (!l.sink && l.next && !_p.overflowToMemory) {
         std::uint64_t pendingOut =
-            l.outAccum + l.outQueueBytes + f.out.cur();
+            l.outAccum + l.outQueueBytes + f.curOut;
         if (pendingOut > _p.laneBytes)
             return false;
     }
@@ -1118,7 +1115,7 @@ IpCore::startStreamUnit(int lane)
     if (_p.switchGranularity != SwitchGranularity::Subframe)
         _stickyLane = lane;
 
-    std::uint64_t uIn = f.in.cur();
+    std::uint64_t uIn = f.curIn;
 
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Sched)) {
@@ -1134,7 +1131,7 @@ IpCore::startStreamUnit(int lane)
     }
     if (f.unitsDone == 0 && f.obsFirstStart == 0)
         f.obsFirstStart = curTick();
-    Tick time = computeTime(uIn, f.out.cur());
+    Tick time = computeTime(uIn, f.curOut);
     if (!f.faulted)
         f.obsComputeAccum += time;
 
@@ -1160,13 +1157,13 @@ IpCore::onUnitComputed(int lane)
     vip_assert(!l.frames.empty(), "unit completed on empty lane");
     StreamFrame &f = l.frames.front();
 
-    std::uint64_t uIn = f.in.cur();
-    std::uint64_t uOut = f.out.cur();
+    std::uint64_t uIn = f.curIn;
+    std::uint64_t uOut = f.curOut;
     _bytesProcessed += std::max(uIn, uOut);
     ++f.unitsDone;
-    f.in.next();
-    f.out.next();
     bool frameDone = f.unitsDone >= f.units;
+    if (!frameDone)
+        f.splitUnit();
 
     if (!l.sink && l.next) {
         l.outAccum += uOut;

@@ -291,14 +291,16 @@ class IpCore : public ClockedObject
     struct StreamFrame
     {
         std::uint64_t frameId = 0;
+        std::uint64_t inBytes = 0;
+        std::uint64_t outBytes = 0;
         Tick deadline = MaxTick;
         bool txnEnd = true;
         std::uint64_t units = 1;
         std::uint64_t unitsDone = 0;
         /** Input bytes the current unit consumes, output bytes it
-         *  produces; stepped as units complete. */
-        UnitSplit in;
-        UnitSplit out;
+         *  produces; set by splitUnit() as unitsDone moves. */
+        std::uint64_t curIn = 0;
+        std::uint64_t curOut = 0;
         /**
          * Retry budget exhausted on some unit: the payload is lost
          * and the remaining units drain as zero-cost passthrough.
@@ -313,6 +315,16 @@ class IpCore : public ClockedObject
         Tick obsFirstStart = 0;   ///< first unit entered compute
         Tick obsComputeAccum = 0; ///< nominal compute time consumed
         /** @} */
+
+        /** Cache unit unitsDone's share of the frame's bytes (the
+         *  even split: unit u of n gets b*(u+1)/n - b*u/n). */
+        void
+        splitUnit()
+        {
+            const std::uint64_t u = unitsDone;
+            curIn = inBytes * (u + 1) / units - inBytes * u / units;
+            curOut = outBytes * (u + 1) / units - outBytes * u / units;
+        }
     };
 
     /** A head-of-chain input feed (DMA or sensor). */
@@ -462,9 +474,8 @@ class IpCore : public ClockedObject
     bool outputBlocked(const Lane &l) const;
     bool backpressured() const;
 
-    /** Nominal compute time of a unit; memoised on its work size,
-     *  which consecutive units nearly always share. */
-    Tick computeTime(std::uint64_t in_bytes, std::uint64_t out_bytes);
+    Tick computeTime(std::uint64_t in_bytes,
+                     std::uint64_t out_bytes) const;
 
     IpParams _p;
     SystemAgent &_sa;
@@ -473,8 +484,6 @@ class IpCore : public ClockedObject
     FaultInjector *_faults;
     /** One lane buffer's access energies. */
     SramModel::Estimate _laneSram;
-    std::uint64_t _ctWork = 0; ///< work size of the memoised time
-    Tick _ctTime = 0;
 
     // ---- unit-in-flight fault/watchdog state (either mode) ----
     bool _unitStream = false;     ///< stream vs job mode unit

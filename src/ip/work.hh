@@ -41,49 +41,6 @@ struct SubFrame
 };
 
 /**
- * The even split of a frame's bytes over its work units: unit u of n
- * gets bytes*(u+1)/n - bytes*u/n bytes.  The split is stepped one
- * unit at a time with the quotient/remainder (Bresenham) recurrence,
- * so only the constructor divides.
- */
-class UnitSplit
-{
-  public:
-    UnitSplit() = default;
-
-    /** Position on unit 0 of @p bytes over @p units (> 0). */
-    UnitSplit(std::uint64_t bytes, std::uint64_t units)
-        : _q(bytes / units), _r(bytes % units), _n(units)
-    {
-        next();
-    }
-
-    /** Bytes of the current unit. */
-    std::uint64_t cur() const { return _cur; }
-
-    /** Step to the next unit. */
-    void
-    next()
-    {
-        // _acc is r*(u+1) mod n: the floor of r*(u+1)/n grows by one
-        // exactly when it wraps, since r < n.
-        _acc += _r;
-        _cur = _q;
-        if (_acc >= _n) {
-            _acc -= _n;
-            ++_cur;
-        }
-    }
-
-  private:
-    std::uint64_t _q = 0;
-    std::uint64_t _r = 0;
-    std::uint64_t _n = 1;
-    std::uint64_t _acc = 0;
-    std::uint64_t _cur = 0;
-};
-
-/**
  * One IP invocation for one frame, in job (memory staged) mode: read
  * the input from DRAM, process, write the output to DRAM, signal.
  * This is how the Baseline and FrameBurst configurations drive IPs.

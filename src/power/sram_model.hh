@@ -50,20 +50,6 @@ class SramModel
     /** Estimate for a buffer of @p bytes capacity. */
     static Estimate forCapacity(std::uint64_t bytes);
 
-    /** Energy (nJ) to read @p bytes from a buffer of @p capacity. */
-    static double
-    readEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
-    {
-        return forCapacity(capacity).readNj(bytes);
-    }
-
-    /** Energy (nJ) to write @p bytes into a buffer of @p capacity. */
-    static double
-    writeEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
-    {
-        return forCapacity(capacity).writeNj(bytes);
-    }
-
   private:
     /**
      * 64-byte accesses that move @p bytes, at least one.  Integer

@@ -520,67 +520,5 @@ TEST_F(IpStreamTest, WatchdogResetReturnsLaneCreditsOnce)
     EXPECT_EQ(sink.laneOverflows(), 0u);
 }
 
-
-/** Walk @p units of a UnitSplit over @p bytes against the closed form
- *  bytes*(u+1)/units - bytes*u/units, in 128-bit arithmetic so the
- *  reference cannot overflow. */
-void
-expectSplitMatchesClosedForm(std::uint64_t bytes, std::uint64_t units)
-{
-    using Wide = unsigned __int128;
-    UnitSplit split(bytes, units);
-    std::uint64_t sum = 0;
-    for (std::uint64_t u = 0; u < units; ++u, split.next()) {
-        const std::uint64_t want = static_cast<std::uint64_t>(
-            Wide(bytes) * (u + 1) / units - Wide(bytes) * u / units);
-        ASSERT_EQ(split.cur(), want)
-            << "bytes=" << bytes << " units=" << units << " u=" << u;
-        sum += split.cur();
-    }
-    EXPECT_EQ(sum, bytes) << "bytes=" << bytes << " units=" << units;
-}
-
-TEST(UnitSplit, FewerBytesThanUnits)
-{
-    expectSplitMatchesClosedForm(0, 5);
-    expectSplitMatchesClosedForm(1, 7);
-    expectSplitMatchesClosedForm(3, 8);
-    expectSplitMatchesClosedForm(999, 1000);
-}
-
-TEST(UnitSplit, ExactMultiples)
-{
-    expectSplitMatchesClosedForm(4096 * 16, 16);
-    expectSplitMatchesClosedForm(12, 3);
-    expectSplitMatchesClosedForm(1000, 1000);
-}
-
-TEST(UnitSplit, SingleUnit)
-{
-    expectSplitMatchesClosedForm(0, 1);
-    expectSplitMatchesClosedForm(1, 1);
-    expectSplitMatchesClosedForm(3110400, 1);
-}
-
-TEST(UnitSplit, UnevenSplits)
-{
-    // Frame-sized splits as announceFrame makes them (e.g. a 1080p
-    // NV12 frame over 4 KiB units), and every small case exhaustively.
-    expectSplitMatchesClosedForm(3110400, 760);
-    expectSplitMatchesClosedForm(3110400 / 2, 760);
-    for (std::uint64_t units = 1; units <= 24; ++units) {
-        for (std::uint64_t bytes = 0; bytes <= 3 * units + 5; ++bytes)
-            expectSplitMatchesClosedForm(bytes, units);
-    }
-}
-
-TEST(UnitSplit, BytesNearTwoToTheForty)
-{
-    const std::uint64_t big = std::uint64_t(1) << 40;
-    expectSplitMatchesClosedForm(big, 3);
-    expectSplitMatchesClosedForm(big - 1, 4096);
-    expectSplitMatchesClosedForm(big + 12345, 100003);
-}
-
 } // namespace
 } // namespace vip

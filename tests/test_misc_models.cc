@@ -53,8 +53,9 @@ TEST(SramModel, WritesCostSlightlyMoreThanReads)
 
 TEST(SramModel, AccessEnergyScalesWithBytes)
 {
-    double one = SramModel::readEnergyNj(2048, 64);
-    double many = SramModel::readEnergyNj(2048, 1024);
+    const auto est = SramModel::forCapacity(2048);
+    double one = est.readNj(64);
+    double many = est.readNj(1024);
     EXPECT_NEAR(many / one, 16.0, 0.01);
 }
 
